@@ -65,7 +65,11 @@ def build_parser():
     q.add_argument("--g", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--mode", choices=("one", "all"), default="all")
-    q.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    q.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET,
+        help="exit 2 once the group order or the number of candidate subgroups "
+             "visited exceeds this (default: %(default)s)",
+    )
 
     c = sub.add_parser("cover", help="build and certify the standard cyclic cover")
     c.add_argument("--g", type=int, required=True)
@@ -220,12 +224,7 @@ def _parse_label(text, m):
 def cmd_dims(g, m, r=0):
     report = locus_dimensions(g, m, r)
     payload = {"schema": SCHEMA, "command": "dims"}
-    payload.update(
-        {
-            k: (v if isinstance(v, int) or v is None else v)
-            for k, v in report.to_json_obj().items()
-        }
-    )
+    payload.update(report.to_json_obj())
     return payload
 
 

@@ -91,9 +91,6 @@ class RibbonGraph:
     def partner(d):
         return d ^ 1
 
-    def edge_of(self, d):
-        return d // 2
-
     def tail_vertex(self, e):
         return self.vertex_of[2 * e]
 

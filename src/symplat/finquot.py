@@ -8,7 +8,7 @@ quotient in the package.
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import lcm, prod
 
 from .errors import BudgetError, DomainError
 from .lattice import Lattice, congruence_kernel, lattice_sum
@@ -34,17 +34,23 @@ DEFAULT_BUDGET = 2**16
 class FiniteQuotient:
     """The finite abelian group upper/lower for nested equal-span lattices."""
 
-    __slots__ = ("lower", "upper", "_snf", "_hash")
+    __slots__ = ("lower", "upper", "_coords", "_snf", "_hash")
 
     def __init__(self, lower, upper):
         if lower.ambient_dim != upper.ambient_dim:
             raise DomainError("quotient lattices live in different ambient spaces")
-        if lower.rank != upper.rank or not upper.same_span(lower):
+        # one solve: equal rank and lower in span(upper) mean equal span
+        try:
+            if lower.rank != upper.rank:
+                raise DomainError("rank mismatch")
+            T = upper.coords_matrix(lower.basis)
+        except DomainError:
             raise DomainError("quotient lattices must have equal rational span")
-        if not upper.contains_lattice(lower):
+        if not T.is_integral():
             raise DomainError("lower lattice is not contained in the upper one")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "_coords", T)
         object.__setattr__(self, "_snf", None)
         object.__setattr__(self, "_hash", None)
 
@@ -54,8 +60,7 @@ class FiniteQuotient:
     def _adapted(self):
         """(W, diag): a basis W of `upper` with lower = W * diag(d1..dr)."""
         if self._snf is None:
-            T = self.upper.coords_matrix(self.lower.basis)
-            U, D, _ = smith_normal_form(T)
+            U, D, _ = smith_normal_form(self._coords)
             W = self.upper.basis * U.inverse()
             diag = tuple(D.rows[i][i] for i in range(D.nrows))
             object.__setattr__(self, "_snf", (W, diag))
@@ -118,10 +123,6 @@ class FiniteQuotient:
             vec = W.apply(ks)
             out.append(QuotientElement(self, vec))
         return out
-
-    def contains_element(self, elt):
-        """Whether an element of an overgroup (same lower) lies in this one."""
-        return self.upper.contains_vector(elt.rep)
 
     def subgroup(self, elements):
         """The subgroup generated by the given elements (or raw vectors)."""
@@ -274,8 +275,7 @@ def is_maximal_isotropic(S, p):
 
 
 def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def _intermediate_normal_forms(diag):
@@ -283,19 +283,16 @@ def _intermediate_normal_forms(diag):
 
     H has positive diagonal h_j | d_j, entries H[j][i] in [0, h_j) for i < j,
     and diag(d) Z^k ⊆ H Z^k (checked by exact forward substitution).  Each
-    intermediate lattice has exactly one such H.
+    intermediate lattice has exactly one such H, yielded as a tuple of rows.
     """
     k = len(diag)
-    if k == 0:
-        yield Mat.identity(0)
-        return
     rows = [[0] * k for _ in range(k)]
     # partial[t][j] = coefficient c_j in H c = d_t e_t, built row by row
     partial = [[0] * k for _ in range(k)]
 
     def recurse(j):
         if j == k:
-            yield Mat([tuple(r) for r in rows], ncols=k)
+            yield tuple(map(tuple, rows))
             return
         for h in _divisors(diag[j]):
             for offs in product(*(range(h) for _ in range(j))):
@@ -324,31 +321,67 @@ def _intermediate_normal_forms(diag):
     yield from recurse(0)
 
 
-def enumerate_subgroups(Q, budget=DEFAULT_BUDGET):
-    """All subgroups of Q, each as a FiniteQuotient between Q.lower and Q.upper.
+def _enumerate(Q, budget, p=None):
+    """Subgroups of Q in canonical order; given a pairing p, only the m.t.i. ones.
 
-    Deterministic canonical order: sorted by (order, canonical basis matrix of
-    the intermediate lattice).
+    Candidates are the Hermite matrices H of ``_intermediate_normal_forms`` on
+    the d > 1 columns Wsub of Q's adapted basis; only kept ones are built.
+    BudgetError once |Q| or the number of candidates visited exceeds budget.
     """
     if Q.order > budget:
         raise BudgetError(f"group of order {Q.order} exceeds budget {budget}")
     W, diag = Q._adapted()
     nontrivial = [i for i, d in enumerate(diag) if d > 1]
-    trivial_cols = [W.col(i) for i, d in enumerate(diag) if d == 1]
+    Wsub = W.take_columns(nontrivial)
     sub_diag = [diag[i] for i in nontrivial]
-    Wsub = Mat.from_columns([W.col(i) for i in nontrivial], nrows=W.nrows) \
-        if nontrivial else None
+    k, full = len(sub_diag), prod(sub_diag)
+    # the d = 1 columns lie in Q.lower and complete every generating set
+    trivial_cols = [W.col(i) for i, d in enumerate(diag) if d == 1]
+    if p is not None:
+        target = Q.order * orthogonal_subgroup(Q, p).order
+        G = Wsub.T * p.form * Wsub
+        den = G.denominator_lcm()
+        G = [[int(x * den) for x in row] for row in G.rows]
     out = []
-    for H in _intermediate_normal_forms(sub_diag):
-        cols = (Wsub * H).columns() if nontrivial else []
-        gens = cols + trivial_cols
-        # gens span an intermediate lattice containing Q.lower by construction
+    for count, h in enumerate(_intermediate_normal_forms(sub_diag), 1):
+        if count > budget:
+            raise BudgetError(f"more than {budget} candidate subgroups")
+        if p is not None:
+            order = full // prod(h[j][j] for j in range(k))
+            if order * order != target:
+                continue
+            # H is lower triangular: its column j starts at row j
+            GH = [[sum(G[a][b] * h[b][j] for b in range(j, k)) for j in range(k)]
+                  for a in range(k)]
+            if any(sum(h[a][i] * GH[a][j] for a in range(i, k)) % den
+                   for j in range(k) for i in range(j)):
+                continue
+        gens = (Wsub * Mat(h, ncols=k)).columns() + trivial_cols
         M = Lattice.from_generators(Q.lower.ambient_dim, gens) if gens else Q.lower
         out.append(FiniteQuotient(Q.lower, M))
     out.sort(key=lambda S: (S.order, S.upper.basis.rows))
     return out
 
 
+def enumerate_subgroups(Q, budget=DEFAULT_BUDGET):
+    """All subgroups of Q, each as a FiniteQuotient between Q.lower and Q.upper.
+
+    Deterministic canonical order: sorted by (order, canonical basis matrix of
+    the intermediate lattice).
+    """
+    return _enumerate(Q, budget)
+
+
 def enumerate_mti(Q, p, budget=DEFAULT_BUDGET):
-    """All maximal totally isotropic subgroups of Q under p, canonical order."""
-    return [S for S in enumerate_subgroups(Q, budget=budget) if is_maximal_isotropic(S, p)]
+    """All maximal totally isotropic subgroups of Q under p, canonical order.
+
+    A candidate S = H Z^k / diag(d) Z^k is kept iff, on its Hermite matrix H,
+    |S| = prod(d)/prod(h) satisfies |S|^2 = |Q| |R|, with R = Q^perp the
+    radical of p, and H^T G H is integral, G the pairing on the adapted
+    generators (isotropy; entries above the diagonal suffice).  This is
+    "S isotropic and S^perp ⊆ S": for isotropic S, Q -> Hom(S, Q/Z) has
+    kernel S^perp and image of order |S|/|S ∩ R|, so |S^perp| = |Q||S ∩ R|/|S|.
+    S^perp = S forces R ⊆ S and |S|^2 = |Q||R|; conversely that equation
+    gives |S^perp| <= |S| <= |S^perp|.  Degenerate pairings need no fork.
+    """
+    return _enumerate(Q, budget, p)

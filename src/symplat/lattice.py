@@ -127,13 +127,6 @@ class Lattice:
     def scaled(self, c):
         return Lattice(self.ambient_dim, self.basis * Fraction(c))
 
-    def transformed(self, M):
-        """Image lattice M * self (M must be injective on the span)."""
-        img = M * self.basis
-        if img.rank() != self.rank:
-            raise DomainError("map is not injective on the lattice span")
-        return Lattice(M.nrows, img)
-
     def canonical_representative(self, vector):
         """The canonical representative of ``vector`` modulo this lattice.
 

@@ -8,9 +8,9 @@ bit for bit.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
-from .errors import DomainError
+from .errors import CertificationError, DomainError
 
 __all__ = [
     "Mat",
@@ -444,14 +444,42 @@ def smith_normal_form(M):
 
     U, D, V = Mat(st.u), Mat(st.a, ncols=st.n), Mat(st.v)
     # The transforms certify themselves; this is the kernel everything rests on.
-    assert U * M * V == D
+    if U * M * V != D:
+        raise CertificationError("Smith normal form transforms fail U*M*V = D", ["U*M*V = D"])
     return U, D, V
 
 
-def snf_diagonal(M):
-    """The diagonal of the Smith normal form, as a tuple."""
-    _, D, _ = smith_normal_form(M)
-    return tuple(D.rows[i][i] for i in range(min(D.nrows, D.ncols)))
+def _column_echelon(cols, nrows, canonical):
+    """Column-echelon ``cols`` in place on their first ``nrows`` entries; the rank.
+
+    ``canonical`` makes each pivot positive and reduces the entries to its
+    left in its row into [0, pivot), as in ``hermite_column_form``.
+    """
+    n, r = len(cols), 0
+    for i in range(nrows):
+        if r == n:
+            break
+        nz = next((k for k in range(r, n) if cols[k][i] != 0), None)
+        if nz is None:
+            continue
+        cols[r], cols[nz] = cols[nz], cols[r]
+        for k in range(r + 1, n):
+            while cols[k][i] != 0:
+                if cols[r][i] == 0 or abs(cols[r][i]) > abs(cols[k][i]):
+                    cols[r], cols[k] = cols[k], cols[r]
+                    continue
+                q = cols[k][i] // cols[r][i]
+                cols[k] = [x - q * y for x, y in zip(cols[k], cols[r])]
+        if canonical:
+            if cols[r][i] < 0:
+                cols[r] = [-x for x in cols[r]]
+            piv = cols[r][i]
+            for k in range(r):
+                q = cols[k][i] // piv
+                if q:
+                    cols[k] = [x - q * y for x, y in zip(cols[k], cols[r])]
+        r += 1
+    return r
 
 
 def hermite_column_form(M):
@@ -465,32 +493,9 @@ def hermite_column_form(M):
     spans are equal iff their Hermite forms are equal.
     """
     _require_integral(M, "hermite_column_form")
-    m, n = M.nrows, M.ncols
-    cols = [list(M.col(j)) for j in range(n)]
-    r = 0
-    for i in range(m):
-        if r == n:
-            break
-        nz = next((k for k in range(r, n) if cols[k][i] != 0), None)
-        if nz is None:
-            continue
-        cols[r], cols[nz] = cols[nz], cols[r]
-        for k in range(r + 1, n):
-            while cols[k][i] != 0:
-                if cols[r][i] == 0 or abs(cols[r][i]) > abs(cols[k][i]):
-                    cols[r], cols[k] = cols[k], cols[r]
-                    continue
-                q = cols[k][i] // cols[r][i]
-                cols[k] = [x - q * y for x, y in zip(cols[k], cols[r])]
-        if cols[r][i] < 0:
-            cols[r] = [-x for x in cols[r]]
-        piv = cols[r][i]
-        for k in range(r):
-            q = cols[k][i] // piv
-            if q:
-                cols[k] = [x - q * y for x, y in zip(cols[k], cols[r])]
-        r += 1
-    return Mat.from_columns(cols[:r], nrows=m)
+    cols = [list(M.col(j)) for j in range(M.ncols)]
+    r = _column_echelon(cols, M.nrows, canonical=True)
+    return Mat.from_columns(cols[:r], nrows=M.nrows)
 
 
 def integer_kernel(M):
@@ -502,30 +507,5 @@ def integer_kernel(M):
     _require_integral(M, "integer_kernel")
     m, n = M.nrows, M.ncols
     cols = [list(M.col(j)) + [1 if i == j else 0 for i in range(n)] for j in range(n)]
-    r = 0
-    for i in range(m):
-        if r == n:
-            break
-        nz = next((k for k in range(r, n) if cols[k][i] != 0), None)
-        if nz is None:
-            continue
-        cols[r], cols[nz] = cols[nz], cols[r]
-        for k in range(r + 1, n):
-            while cols[k][i] != 0:
-                if cols[r][i] == 0 or abs(cols[r][i]) > abs(cols[k][i]):
-                    cols[r], cols[k] = cols[k], cols[r]
-                    continue
-                q = cols[k][i] // cols[r][i]
-                cols[k] = [x - q * y for x, y in zip(cols[k], cols[r])]
-        r += 1
-    kernel_cols = [tuple(c[m:]) for c in cols[r:]]
-    if not kernel_cols:
-        return Mat.from_columns([], nrows=n)
-    return hermite_column_form(Mat.from_columns(kernel_cols, nrows=n))
-
-
-def gcd_of(values):
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g
+    r = _column_echelon(cols, m, canonical=False)
+    return hermite_column_form(Mat.from_columns([c[m:] for c in cols[r:]], nrows=n))

@@ -300,12 +300,6 @@ class LatticeMap:
     def apply(self, vec):
         return self.matrix.apply(vec)
 
-    def compose(self, other):
-        """self ∘ other."""
-        if other.target.ambient_dim != self.source.ambient_dim:
-            raise DomainError("maps are not composable")
-        return LatticeMap(self.matrix * other.matrix, other.source, self.target)
-
     def acts_as_scalar_on(self, lattice, c):
         """Whether the map restricted to span(lattice) is multiplication by c."""
         return self.matrix * lattice.basis == lattice.basis * Fraction(c)

@@ -12,6 +12,7 @@ from math import gcd
 import pytest
 
 from symplat.covers import standard_cover
+from symplat.finquot import enumerate_subgroups, is_maximal_isotropic
 from symplat.matrix import Mat
 
 
@@ -158,6 +159,15 @@ def brute_force_mti(Q, p):
             out.append(S)
     assert all(S in iso_set for S in out)
     return set(out)
+
+
+def filtered_mti(Q, p):
+    """Maximal totally isotropic subgroups by enumerate-then-filter.
+
+    Every subgroup is built as a FiniteQuotient and kept if it is isotropic
+    with S^perp ⊆ S, in the canonical order of ``enumerate_subgroups``.
+    """
+    return [S for S in enumerate_subgroups(Q) if is_maximal_isotropic(S, p)]
 
 
 def library_subgroup_as_set(S, Q):

@@ -5,6 +5,7 @@ see them).  All equalities are exact (zero tolerance); the two census
 criteria also enforce their wall-clock budgets.
 """
 
+import json
 import time
 
 from symplat.cli import EXIT_OK, run
@@ -64,6 +65,22 @@ def test_criterion_1_quotient_suite():
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 60
     report(1, ok, f"{'; '.join(details)}; {elapsed:.1f}s < 60s")
+
+
+def test_criterion_1_census_g2_m4():
+    """The (2,4) census: 151 subgroups of order 16, every quotient principal."""
+    start = time.monotonic()
+    code, text = run(["quotient", "--g", "2", "--m", "4"])
+    elapsed = time.monotonic() - start
+    payload = json.loads(text) if code == EXIT_OK else {}
+    quotients = payload.get("quotients", [])
+    ok = (
+        code == EXIT_OK
+        and payload["count"] == len(quotients) == 151
+        and all(q["K_order"] == "16" and q["principal"] for q in quotients)
+        and elapsed < 20
+    )
+    report(1, ok, f"(g=2,m=4): {len(quotients)} subgroups; {elapsed:.1f}s < 20s")
 
 
 def test_criterion_2_cover_suite(cover22, cover23, cover32, cover24):

@@ -1,6 +1,7 @@
 """CLI: determinism, payload shape, and exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -47,6 +48,15 @@ def test_quotient_mode_one():
 def test_quotient_budget_exit():
     code, text = run(["quotient", "--g", "2", "--m", "17"])
     assert code == EXIT_BUDGET
+
+
+def test_quotient_budget_bounds_candidates():
+    # order 256 is far under the budget, but (Z/2)^8 has 417,199 subgroups
+    start = time.monotonic()
+    code, text = run(["quotient", "--g", "4", "--m", "2", "--budget", "1000"])
+    assert code == EXIT_BUDGET
+    assert "more than 1000 candidate subgroups" in text
+    assert time.monotonic() - start < 10
 
 
 def test_cover_report_2_2():

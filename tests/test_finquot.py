@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symplat.errors import BudgetError, DomainError
 from symplat.finquot import (
@@ -19,10 +21,16 @@ from symplat.finquot import (
 )
 from symplat.lattice import Lattice
 from symplat.matrix import Mat
-from symplat.pollat import standard_principal, torsion_subgroup
+from symplat.pollat import (
+    PolarizedLattice,
+    standard_principal,
+    symplectic_form,
+    torsion_subgroup,
+)
 
 from conftest import (
     brute_force_mti,
+    filtered_mti,
     library_subgroup_as_set,
     quotient_as_table,
 )
@@ -54,8 +62,23 @@ def test_invariants_mixed():
 
 
 def test_quotient_requires_containment():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="not contained"):
         FiniteQuotient(Z2, Z2.scaled(2))
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [
+        (Lattice.from_generators(2, [(1, 0)]), Z2),
+        (
+            Lattice.from_generators(3, [(1, 0, 0), (0, 1, 0)]),
+            Lattice.from_generators(3, [(1, 0, 0), (0, 0, 1)]),
+        ),
+    ],
+)
+def test_quotient_requires_equal_span(lower, upper):
+    with pytest.raises(DomainError, match="equal rational span"):
+        FiniteQuotient(lower, upper)
 
 
 def test_elements_and_orders():
@@ -145,15 +168,89 @@ def test_budget_error():
         enumerate_subgroups(Q, budget=100)
 
 
+def test_budget_bounds_candidates_visited():
+    # (Z/2)^4 has order 16 but 67 subgroups: the candidate count trips first
+    Q, p = torsion_subgroup(standard_principal(2), 2)
+    assert len(enumerate_subgroups(Q, budget=67)) == 67
+    with pytest.raises(BudgetError, match="candidate"):
+        enumerate_subgroups(Q, budget=66)
+    with pytest.raises(BudgetError, match="candidate"):
+        enumerate_mti(Q, p, budget=66)
+
+
 @pytest.mark.parametrize("g, m", [(1, 2), (1, 3), (2, 2), (1, 4), (2, 3)])
 def test_mti_against_brute_force(g, m):
     P = standard_principal(g)
     Q, p = torsion_subgroup(P, m)
     found = enumerate_mti(Q, p)
+    assert found == filtered_mti(Q, p)
     oracle = brute_force_mti(Q, p)
     assert {library_subgroup_as_set(S, Q) for S in found} == oracle
     # maximal isotropic subgroups of nondegenerate m-torsion have order m^g
     assert all(S.order == m**g for S in found)
+
+
+def _torsion_with_form(blocks, m):
+    """(1/m)Z^n / Z^n with the pairing m*F, F the block sum of c*J (c = 0 allowed)."""
+    n = 2 * len(blocks)
+    rows = [[0] * n for _ in range(n)]
+    for t, c in enumerate(blocks):
+        rows[2 * t][2 * t + 1], rows[2 * t + 1][2 * t] = c, -c
+    Zn = Lattice.standard(n)
+    Q = FiniteQuotient(Zn, Zn.scaled(Fraction(1, m)))
+    return Q, PairingOnQuotient(Q, Mat(rows) * m)
+
+
+@pytest.mark.parametrize(
+    "blocks, m",
+    [((1, 0), 2), ((1, 0), 3), ((0, 0), 2), ((0, 0), 3), ((2, 1), 2), ((3, 1), 3)],
+)
+def test_mti_matches_filter_oracle_degenerate(blocks, m):
+    Q, p = _torsion_with_form(blocks, m)
+    assert not p.is_nondegenerate()
+    found = enumerate_mti(Q, p)
+    assert found == filtered_mti(Q, p)
+    if m == 2:  # the brute-force oracle takes tens of seconds at m = 3
+        assert {library_subgroup_as_set(S, Q) for S in found} == brute_force_mti(Q, p)
+
+
+def test_mti_zero_form_is_whole_group():
+    Q, p = _torsion_with_form((0, 0), 2)
+    assert enumerate_mti(Q, p) == [Q]
+
+
+_elementary = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3)).filter(
+    lambda t: t[0] != t[1]
+)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    ops=st.lists(_elementary, min_size=1, max_size=8),
+    scales=st.tuples(*[st.sampled_from((1, 1, 2, 3))] * 4),
+    m=st.sampled_from((2, 3)),
+)
+def test_mti_matches_filter_oracle_under_change_of_basis(ops, scales, m):
+    # A = (elementary operations) * diag(scales) is a rational change of basis:
+    # (A Z^4, A^-T J A^-1) is principal, with a non-standard lattice and form.
+    # (An A in Sp4(Z) alone would give back Z^4 and J exactly.)
+    rows = [[scales[j] if i == j else 0 for j in range(4)] for i in range(4)]
+    for i, j, c in ops:
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    A = Mat(rows)
+    Ainv = A.inverse()
+    P = PolarizedLattice(Lattice(4, A), Ainv.T * symplectic_form(2) * Ainv)
+    Q, p = torsion_subgroup(P, m)
+    found = enumerate_mti(Q, p)
+    assert found == filtered_mti(Q, p)
+    assert len(found) == (m + 1) * (m * m + 1)
+
+
+def test_mti_count_g2_m5():
+    Q, p = torsion_subgroup(standard_principal(2), 5)
+    found = enumerate_mti(Q, p)
+    assert len(found) == (5 + 1) * (25 + 1) == 156
+    assert all(S.order == 25 for S in found)
 
 
 def test_mti_trivial_group():

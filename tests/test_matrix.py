@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from symplat.errors import DomainError
+from symplat import matrix
+from symplat.errors import CertificationError, DomainError
 from symplat.matrix import (
     Mat,
     hermite_column_form,
@@ -71,6 +72,18 @@ def test_snf_properties_random(seed):
             assert b % a == 0
     # independent oracle: determinantal divisors
     assert tuple(diag) == minor_gcd_invariants(M)
+
+
+def test_snf_certifies_its_transforms(monkeypatch):
+    # swap columns of the work matrix but not of V: U*M*V no longer equals D
+    def swap_cols_in_a_only(self, i, j):
+        for row in self.a:
+            row[i], row[j] = row[j], row[i]
+
+    monkeypatch.setattr(matrix._SnfState, "swap_cols", swap_cols_in_a_only)
+    with pytest.raises(CertificationError) as info:
+        smith_normal_form(Mat([[3, 2], [0, 1]]))
+    assert info.value.failures == ("U*M*V = D",)
 
 
 def test_snf_deterministic():
