@@ -66,7 +66,9 @@ class RibbonGraph:
     def __init__(self, n_edges, rotations):
         rotations = tuple(tuple(r) for r in rotations)
         darts = [d for rot in rotations for d in rot]
-        if sorted(darts) != list(range(2 * n_edges)):
+        if type(n_edges) is not int or any(type(d) is not int for d in darts):
+            raise DomainError("the edge count and the darts must be ints")
+        if len(darts) != 2 * n_edges or sorted(darts) != list(range(2 * n_edges)):
             raise DomainError("rotations must partition the darts 0..2E-1")
         vertex_of = {}
         for v, rot in enumerate(rotations):
@@ -158,8 +160,11 @@ class VoltageAssignment:
     __slots__ = ("modulus", "values")
 
     def __init__(self, modulus, values):
-        if modulus < 1:
-            raise DomainError("voltage modulus must be >= 1")
+        if type(modulus) is not int or modulus < 1:
+            raise DomainError("voltage modulus must be an int >= 1")
+        values = tuple(values)
+        if any(type(v) is not int for v in values):
+            raise DomainError("voltages must be ints")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "values", tuple(v % modulus for v in values))
 
@@ -384,16 +389,17 @@ class CoverHomology:
     Bundles the base and total principal lattices, the deck action on H_1 of
     the total space, the pushforward (norm) and the transfer, plus the
     combinatorial input needed to rebuild everything from scratch.
+    ``certificate`` maps each identity ``cyclic_cover`` checked to its result.
     """
 
     __slots__ = (
         "base_graph", "voltages", "m", "g", "cover_graph",
-        "base", "total", "sigma", "pushforward", "transfer",
+        "base", "total", "sigma", "pushforward", "transfer", "certificate",
         "_base_h", "_total_h", "_pair", "_cache",
     )
 
     def __init__(self, base_graph, voltages, m, cover_graph,
-                 base_h, total_h, sigma, pushforward, transfer):
+                 base_h, total_h, sigma, pushforward, transfer, certificate):
         object.__setattr__(self, "base_graph", base_graph)
         object.__setattr__(self, "voltages", voltages)
         object.__setattr__(self, "m", m)
@@ -404,6 +410,7 @@ class CoverHomology:
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "pushforward", pushforward)
         object.__setattr__(self, "transfer", transfer)
+        object.__setattr__(self, "certificate", certificate)
         object.__setattr__(self, "_base_h", base_h)
         object.__setattr__(self, "_total_h", total_h)
         object.__setattr__(self, "_pair", None)
@@ -450,8 +457,8 @@ def cyclic_cover(R, voltages, m):
         voltages = VoltageAssignment(m, voltages)
     if voltages.modulus != m:
         raise DomainError("voltage modulus disagrees with the cover degree")
-    if m < 1:
-        raise DomainError("cover degree must be >= 1")
+    if type(m) is not int or m < 1:
+        raise DomainError("cover degree must be an int >= 1")
     if len(voltages.values) != R.n_edges:
         raise DomainError("one voltage per edge required")
 
@@ -487,7 +494,8 @@ def cyclic_cover(R, voltages, m):
 
     total_h = _build_homology(cover)
     g_cover = cover.genus()
-    if g_cover != m * g - m + 1:
+    genus_ok = g_cover == m * g - m + 1
+    if not genus_ok:
         raise CertificationError(
             f"cover genus {g_cover} differs from mg-m+1 = {m * g - m + 1}",
             ["cover-genus"],
@@ -529,30 +537,28 @@ def cyclic_cover(R, voltages, m):
     pushforward = LatticeMap(push_mat, lam_total, lam_base)
     transfer = LatticeMap(transfer_mat, lam_base, lam_total)
 
-    failures = []
     EN, E0 = total_h.polarized.form, base_h.polarized.form
-    if sigma_mat.T * EN * sigma_mat != EN:
-        failures.append("sigma-symplectic")
     power = sigma_mat
     sum_sigma = Mat.identity(lam_total.ambient_dim)
     for _ in range(m - 1):
         sum_sigma = sum_sigma + power
         power = power * sigma_mat
-    if power != Mat.identity(lam_total.ambient_dim):
-        failures.append("sigma-order-m")
-    if m > 1 and 2 * (m * g - m + 1 - g) > 0 and sigma_mat == Mat.identity(lam_total.ambient_dim):
-        failures.append("sigma-nontrivial")
-    if push_mat * transfer_mat != Mat.identity(lam_base.ambient_dim) * m:
-        failures.append("pushforward-transfer-m")
-    if transfer_mat * push_mat != sum_sigma:
-        failures.append("transfer-pushforward-sum-sigma")
-    if transfer_mat.T * EN * transfer_mat != E0 * m:
-        failures.append("transfer-multiplies-form")
+    checks = {
+        "cover-genus": genus_ok,
+        "sigma-symplectic": sigma_mat.T * EN * sigma_mat == EN,
+        "sigma-order-m": power == Mat.identity(lam_total.ambient_dim),
+    }
+    if m > 1 and 2 * (m * g - m + 1 - g) > 0:
+        checks["sigma-nontrivial"] = sigma_mat != Mat.identity(lam_total.ambient_dim)
+    checks["pushforward-transfer-m"] = push_mat * transfer_mat == Mat.identity(lam_base.ambient_dim) * m
+    checks["transfer-pushforward-sum-sigma"] = transfer_mat * push_mat == sum_sigma
+    checks["transfer-multiplies-form"] = transfer_mat.T * EN * transfer_mat == E0 * m
+    failures = [name for name, ok in checks.items() if not ok]
     if failures:
         raise CertificationError(f"cover certification failed: {failures}", failures)
 
     return CoverHomology(
-        R, voltages, m, cover, base_h, total_h, sigma, pushforward, transfer
+        R, voltages, m, cover, base_h, total_h, sigma, pushforward, transfer, checks
     )
 
 

@@ -114,25 +114,29 @@ def cover_to_obj(cov):
 
 def cover_from_obj(obj):
     """Rebuild a cover from its fixture and cross-check the stored matrices."""
+    if not isinstance(obj, dict) or obj.get("kind") != "cover-fixture":
+        raise DomainError("not a cover fixture")
     try:
-        if obj.get("kind") != "cover-fixture":
-            raise DomainError("not a cover fixture")
         R = RibbonGraph(obj["n_edges"], [tuple(r) for r in obj["base_rotations"]])
-        volts = VoltageAssignment(obj["m"], obj["voltages"])
-        m = obj["m"]
+        m, g = obj["m"], obj["g"]
+        volts = VoltageAssignment(m, obj["voltages"])
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed cover fixture: {exc}")
+    if volts.values != tuple(obj["voltages"]):
+        raise DomainError("fixture voltages must lie in 0..m-1")
+    if type(g) is not int or g != R.genus():
+        raise DomainError("fixture genus g disagrees with its ribbon graph")
     cov = cyclic_cover(R, volts, m)
     for key, matrix in [
         ("sigma", cov.sigma.matrix),
         ("pushforward", cov.pushforward.matrix),
         ("transfer", cov.transfer.matrix),
     ]:
-        if mat_from_obj(obj[key]) != matrix:
+        if mat_from_obj(obj.get(key)) != matrix:
             raise DomainError(f"fixture matrix {key!r} disagrees with the rebuilt cover")
-    if polarized_from_obj(obj["total"]) != cov.total:
+    if polarized_from_obj(obj.get("total")) != cov.total:
         raise DomainError("fixture total lattice disagrees with the rebuilt cover")
-    if polarized_from_obj(obj["base"]) != cov.base:
+    if polarized_from_obj(obj.get("base")) != cov.base:
         raise DomainError("fixture base lattice disagrees with the rebuilt cover")
     return cov
 

@@ -132,9 +132,7 @@ class Lattice:
 
         The vector must lie in the span; coordinates are reduced into [0, 1).
         """
-        coords = self.coords_of(vector)
-        frac = [Fraction(c) - (Fraction(c).numerator // Fraction(c).denominator) for c in coords]
-        return self.basis.apply(frac)
+        return self.basis.apply([c % 1 for c in self.coords_of(vector)])
 
 
 def _canonical_basis(basis):

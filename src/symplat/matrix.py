@@ -5,10 +5,17 @@ Everything in the package runs on this kernel: entries are Python ints or
 left multiplication.  The Smith and Hermite normal forms follow fixed,
 deterministic pivot rules so that every census and fixture is reproducible
 bit for bit.
+
+Rational work runs on Python ints: a product scales each factor by the lcm of
+its denominators and divides once at the end, and ``rref``, ``rank``, ``det``,
+``inverse``, ``solve`` and ``kernel_basis`` all read their results off one
+fraction-free (Bareiss) Gauss–Jordan elimination, whose every division is
+exact.  The results are unique, so they do not depend on the pivot order.
 """
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import CertificationError, DomainError
 
@@ -23,11 +30,76 @@ __all__ = [
 
 def _norm(x):
     """Collapse integral Fractions to int; reject anything inexact."""
+    if type(x) is int:
+        return x
     if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
         return x
     raise DomainError(f"matrix entries must be int or Fraction, got {type(x)!r}")
+
+
+def _den(rows):
+    """The lcm of the denominators of the entries of ``rows``."""
+    return lcm(*(x.denominator for row in rows for x in row if type(x) is not int))
+
+
+def _times(row, d):
+    """The entries of ``row`` times ``d``, a multiple of their denominators, as ints."""
+    return [x * d if type(x) is int else x.numerator * (d // x.denominator) for x in row]
+
+
+def _q(x, d):
+    """x / d as a normalized entry: an int, or a Fraction that is not integral."""
+    return x // d if x % d == 0 else Fraction(x, d)
+
+
+def _product(rows, cols):
+    """Normalized rows of A*B, A given by ``rows`` and B by ``cols``.
+
+    Sums (A*da)(B*db) in ints, for the denominator lcms da and db, then
+    divides once by da*db.
+    """
+    da, db = _den(rows), _den(cols)
+    rows = rows if da == 1 else [_times(row, da) for row in rows]
+    cols = cols if db == 1 else [_times(col, db) for col in cols]
+    prod = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+    d = da * db
+    if d == 1:
+        return tuple(map(tuple, prod))
+    return tuple(tuple(_q(x, d) for x in row) for row in prod)
+
+
+def _gauss_jordan(rows, ncols):
+    """Fraction-free Gauss–Jordan elimination on the first ``ncols`` columns.
+
+    Returns (a, den, pivots): integer rows ``a`` with the reduced row echelon
+    form of ``rows`` equal to ``a / den`` (rows past ``len(pivots)`` are zero
+    in the first ``ncols`` columns), and the pivot columns.  Each row is first
+    scaled by the lcm of its denominators, which changes neither the RREF nor
+    the solutions.  A swap also negates a row, so with full rank ``den`` is
+    the determinant of the scaled square block.  After k pivots every entry is
+    a k x k minor of the scaled rows (Bareiss 1968), so each ``//`` is exact.
+    """
+    a = [list(row) if (d := _den((row,))) == 1 else _times(row, d) for row in rows]
+    m, pivots, prev = len(a), [], 1
+    for c in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, m) if a[i][c]), None)
+        if i is None:
+            continue
+        if i != r:
+            a[r], a[i] = a[i], [-x for x in a[r]]
+        top = a[r]
+        p = top[c]
+        for i, row in enumerate(a):
+            f = row[c]
+            if i == r or (not f and p == prev):
+                continue
+            a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        pivots.append(c)
+    return a, prev, pivots
 
 
 class Mat:
@@ -54,6 +126,16 @@ class Mat:
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _trusted(cls, rows, ncols):
+        """A Mat on tuple rows of normalized entries (see ``_norm``), unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "nrows", len(rows))
+        object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "_hash", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -106,7 +188,7 @@ class Mat:
 
     @property
     def T(self):
-        return Mat(tuple(self.col(j) for j in range(self.ncols)), ncols=self.nrows)
+        return Mat._trusted(tuple(self.col(j) for j in range(self.ncols)), self.nrows)
 
     def is_integral(self):
         return all(isinstance(x, int) for row in self.rows for x in row)
@@ -123,12 +205,7 @@ class Mat:
         )
 
     def denominator_lcm(self):
-        d = 1
-        for row in self.rows:
-            for x in row:
-                if isinstance(x, Fraction):
-                    d = lcm(d, x.denominator)
-        return d
+        return _den(self.rows)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -145,7 +222,7 @@ class Mat:
         return self._hash
 
     def __neg__(self):
-        return Mat(tuple(tuple(-x for x in row) for row in self.rows), ncols=self.ncols)
+        return Mat._trusted(tuple(tuple(-x for x in row) for row in self.rows), self.ncols)
 
     def __add__(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -159,19 +236,17 @@ class Mat:
         return self + (-other)
 
     def scaled(self, c):
-        c = _norm(c)
-        return Mat(tuple(tuple(c * x for x in row) for row in self.rows), ncols=self.ncols)
+        n, d = Fraction(_norm(c)).as_integer_ratio()
+        da = _den(self.rows)
+        rows = (tuple(_q(n * x, d * da) for x in _times(row, da)) for row in self.rows)
+        return Mat._trusted(tuple(rows), self.ncols)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         if self.ncols != other.nrows:
             raise DomainError("shape mismatch in multiplication")
-        bt = other.T.rows
-        return Mat(
-            tuple(tuple(sum(a * b for a, b in zip(row, bcol)) for bcol in bt) for row in self.rows),
-            ncols=other.ncols,
-        )
+        return Mat._trusted(_product(self.rows, other.T.rows), other.ncols)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -181,25 +256,24 @@ class Mat:
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise DomainError("shape mismatch in hstack")
-        return Mat(
-            tuple(r1 + r2 for r1, r2 in zip(self.rows, other.rows)),
-            ncols=self.ncols + other.ncols,
+        return Mat._trusted(
+            tuple(r1 + r2 for r1, r2 in zip(self.rows, other.rows)), self.ncols + other.ncols
         )
 
     def vstack(self, other):
         if self.ncols != other.ncols:
             raise DomainError("shape mismatch in vstack")
-        return Mat(self.rows + other.rows, ncols=self.ncols)
+        return Mat._trusted(self.rows + other.rows, self.ncols)
 
     def take_columns(self, indices):
         return Mat.from_columns([self.col(j) for j in indices], nrows=self.nrows)
 
     def apply(self, vec):
         """Apply to a column vector given as a tuple."""
-        vec = tuple(vec)
+        vec = tuple(map(_norm, vec))
         if len(vec) != self.ncols:
             raise DomainError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.rows)
+        return tuple(x for (x,) in _product(self.rows, (vec,)))
 
     # -- exact elimination over Q ------------------------------------------
 
@@ -207,62 +281,30 @@ class Mat:
         """Reduced row echelon form over Q.
 
         Returns (R, pivots) with pivots the list of pivot column indices.
-        Pivot choice: first row with a nonzero entry in the current column.
         """
-        rows = [list(map(Fraction, row)) for row in self.rows]
-        m, n = self.nrows, self.ncols
-        pivots = []
-        r = 0
-        for c in range(n):
-            if r == m:
-                break
-            pivot_row = next((i for i in range(r, m) if rows[i][c] != 0), None)
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            pv = rows[r][c]
-            rows[r] = [x / pv for x in rows[r]]
-            for i in range(m):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-        return Mat(rows, ncols=n), pivots
+        a, den, pivots = _gauss_jordan(self.rows, self.ncols)
+        return Mat._trusted(tuple(tuple(_q(x, den) for x in row) for row in a), self.ncols), pivots
 
     def rank(self):
-        return len(self.rref()[1])
+        return len(_gauss_jordan(self.rows, self.ncols)[2])
 
     def det(self):
         if not self.is_square():
             raise DomainError("determinant of a non-square matrix")
-        n = self.nrows
-        rows = [list(map(Fraction, row)) for row in self.rows]
-        det = Fraction(1)
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
-            if pivot_row is None:
-                return 0
-            if pivot_row != c:
-                rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-                det = -det
-            det *= rows[c][c]
-            inv = 1 / rows[c][c]
-            for i in range(c + 1, n):
-                if rows[i][c] != 0:
-                    f = rows[i][c] * inv
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-        return _norm(det)
+        # det(M) = det(d*M) / d^n, and d*M is integral, so no row is rescaled
+        d, n = _den(self.rows), self.nrows
+        _, den, pivots = _gauss_jordan([_times(row, d) for row in self.rows], n)
+        return _q(den, d**n) if len(pivots) == n else 0
 
     def inverse(self):
         if not self.is_square():
             raise DomainError("inverse of a non-square matrix")
         n = self.nrows
-        aug = self.hstack(Mat.identity(n))
-        red, pivots = aug.rref()
-        if pivots[:n] != list(range(n)):
+        unit = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
+        a, den, pivots = _gauss_jordan([r + e for r, e in zip(self.rows, unit)], n)
+        if len(pivots) < n:
             raise DomainError("matrix is singular")
-        return Mat(tuple(row[n:] for row in red.rows), ncols=n)
+        return Mat._trusted(tuple(tuple(_q(x, den) for x in row[n:]) for row in a), n)
 
     def solve(self, rhs):
         """Solve self * X = rhs exactly over Q; free variables are set to 0.
@@ -272,27 +314,25 @@ class Mat:
         if self.nrows != rhs.nrows:
             raise DomainError("shape mismatch in solve")
         n, k = self.ncols, rhs.ncols
-        red, pivots = self.hstack(rhs).rref()
-        if any(p >= n for p in pivots):
+        a, den, pivots = _gauss_jordan([r1 + r2 for r1, r2 in zip(self.rows, rhs.rows)], n)
+        if any(any(row[n:]) for row in a[len(pivots):]):
             raise DomainError("inconsistent linear system")
-        sol = [[0] * k for _ in range(n)]
-        for r, c in enumerate(pivots):
-            for j in range(k):
-                sol[c][j] = red.rows[r][n + j]
-        return Mat(sol, ncols=k)
+        sol = [(0,) * k] * n
+        for row, c in zip(a, pivots):
+            sol[c] = tuple(_q(x, den) for x in row[n:])
+        return Mat._trusted(tuple(sol), k)
 
     def kernel_basis(self):
         """A basis of the rational kernel {x : self*x = 0}, as columns."""
-        red, pivots = self.rref()
+        a, den, pivots = _gauss_jordan(self.rows, self.ncols)
         n = self.ncols
-        free = [c for c in range(n) if c not in pivots]
         cols = []
-        for fc in free:
-            v = [Fraction(0)] * n
-            v[fc] = Fraction(1)
-            for r, c in enumerate(pivots):
-                v[c] = -red.rows[r][fc]
-            cols.append(tuple(v))
+        for fc in (c for c in range(n) if c not in pivots):
+            v = [0] * n
+            v[fc] = 1
+            for row, c in zip(a, pivots):
+                v[c] = _q(-row[fc], den)
+            cols.append(v)
         return Mat.from_columns(cols, nrows=n)
 
     def __repr__(self):

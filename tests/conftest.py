@@ -38,6 +38,57 @@ def cover24():
     return standard_cover(2, 4)
 
 
+# -- oracle: elimination on Fraction entries ---------------------------------
+
+def fraction_rref(M):
+    """(rows, pivots) of the reduced row echelon form, eliminating on Fractions.
+
+    The textbook Gauss–Jordan loop the kernel used before its fraction-free
+    rewrite: first nonzero row as pivot, pivot row scaled to 1.
+    """
+    rows = [list(map(Fraction, row)) for row in M.rows]
+    m, n = M.nrows, M.ncols
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        pivot_row = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(map(tuple, rows)), pivots
+
+
+def fraction_det(M):
+    """Determinant by Gaussian elimination on Fractions, tracking row swaps."""
+    n = M.nrows
+    rows = [list(map(Fraction, row)) for row in M.rows]
+    det = Fraction(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+            det = -det
+        det *= rows[c][c]
+        inv = 1 / rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] * inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return det
+
+
 # -- oracle: Smith invariants via determinantal divisors ---------------------
 
 def minor_gcd_invariants(M):

@@ -1,10 +1,16 @@
 """CLI: determinism, payload shape, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from symplat import cli
 from symplat.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -12,6 +18,7 @@ from symplat.cli import (
     cmd_quotient,
     run,
 )
+from symplat.covers import standard_cover
 from symplat.jsonio import SCHEMA
 
 
@@ -108,6 +115,86 @@ def test_welters_bad_fixture(tmp_path):
     bad.write_text('{"fixture": {"kind": "cover-fixture"}}')
     code, _ = run(["welters", str(bad)])
     assert code == EXIT_VALIDATION
+    bad.write_text('{"fixture": [1, 2]}')
+    code, _ = run(["welters", str(bad)])
+    assert code == EXIT_VALIDATION
+
+
+@pytest.fixture(scope="module")
+def fixture22():
+    code, text = run(["cover", "--g", "2", "--m", "2"])
+    assert code == EXIT_OK
+    return json.loads(text)["fixture"]
+
+
+def _edit_base_rotations(obj):
+    obj["base_rotations"][0][0] = float(obj["base_rotations"][0][0])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda obj: obj.update(m=1.5),
+        lambda obj: obj.update(m=True),
+        lambda obj: obj.update(n_edges=10**30),
+        lambda obj: obj.update(n_edges=4.0),
+        lambda obj: obj["voltages"].__setitem__(0, 1.0),
+        lambda obj: obj["voltages"].__setitem__(0, 3),
+        lambda obj: obj["voltages"].__setitem__(0, -1),
+        _edit_base_rotations,
+        lambda obj: obj.update(g="x"),
+        lambda obj: obj.update(g=None),
+        lambda obj: obj.update(g=-1),
+        lambda obj: obj.update(g=3),
+        lambda obj: obj.update(g=True),
+        lambda obj: obj.pop("g"),
+        lambda obj: obj.pop("sigma"),
+        lambda obj: obj.pop("total"),
+    ],
+    ids=[
+        "m-float", "m-bool", "n_edges-huge", "n_edges-float", "voltage-float",
+        "voltage-too-big", "voltage-negative", "dart-float", "g-str", "g-null",
+        "g-negative", "g-wrong", "g-bool", "g-missing", "sigma-missing", "total-missing",
+    ],
+)
+def test_welters_malformed_fixture_numbers(tmp_path, fixture22, edit):
+    obj = json.loads(json.dumps(fixture22))
+    edit(obj)
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"fixture": obj}))
+    code, text = run(["welters", str(path), "--K", "1:0"])
+    assert code == EXIT_VALIDATION, text
+    assert text.startswith("invalid input:")
+
+
+def test_cover_identities_come_from_the_checks(monkeypatch):
+    cov = standard_cover(2, 2)
+    assert set(cov.certificate) == {name for _, name in cli._COVER_IDENTITIES} | {
+        "sigma-nontrivial"
+    }
+    assert all(cov.certificate.values())
+    assert "sigma-nontrivial" not in standard_cover(2, 1).certificate
+    failing = dict(cov.certificate, **{"sigma-order-m": False})
+    fake = SimpleNamespace(cover_genus=cov.cover_genus, certificate=failing)
+    monkeypatch.setattr(cli, "standard_cover", lambda g, m: fake)
+    monkeypatch.setattr(cli, "cover_to_obj", lambda c: {})
+    identities = cli.cmd_cover(2, 1)["certificate"]["identities"]
+    assert list(identities) == [label for label, _ in cli._COVER_IDENTITIES]
+    assert identities["sigma^m = 1"] is False
+    assert sum(identities.values()) == 5
+
+
+def test_cover_under_python_O_matches_in_process():
+    # the certification checks are explicit raises, so they also run under -O
+    argv = ["cover", "--g", "2", "--m", "3"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "symplat.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == run(argv)[1]
 
 
 def test_welters_unknown_label(tmp_path):

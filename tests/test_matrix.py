@@ -4,6 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symplat import matrix
 from symplat.errors import CertificationError, DomainError
@@ -15,7 +18,7 @@ from symplat.matrix import (
     xgcd,
 )
 
-from conftest import minor_gcd_invariants
+from conftest import fraction_det, fraction_rref, minor_gcd_invariants
 
 
 def random_int_matrix(rng, nrows, ncols, bound=6):
@@ -171,3 +174,163 @@ def test_alternating_predicate():
     assert Mat([[0, 1], [-1, 0]]).is_alternating()
     assert not Mat([[0, 1], [1, 0]]).is_alternating()
     assert not Mat([[1, 0], [0, 1]]).is_alternating()
+
+
+def test_float_entries_rejected():
+    with pytest.raises(DomainError):
+        Mat([[0.5]])
+    with pytest.raises(DomainError):
+        Mat([[1, 2.0]])
+
+
+# -- the fraction-free kernel against Fraction elimination and sympy ---------
+
+# denominators of either sign; Fraction normalizes them to positive
+_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(-5, 5).filter(bool))
+_entries = st.one_of(st.just(0), st.integers(-6, 6), _rationals)
+
+
+@st.composite
+def rational_matrices(draw, nrows=None, ncols=None):
+    """Rational matrices up to 5x5, often with dependent, zero rows and zero columns."""
+    m = draw(st.integers(0, 5)) if nrows is None else nrows
+    n = draw(st.integers(0, 5)) if ncols is None else ncols
+    rows = [[draw(_entries) for _ in range(n)] for _ in range(m)]
+    if m >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(m)))[:3]
+        c = draw(_rationals)
+        rows[k] = [c * x + y for x, y in zip(rows[i], rows[j])]
+    if m and draw(st.booleans()):
+        rows[draw(st.integers(0, m - 1))] = [0] * n
+    if n and draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = 0
+    return Mat(rows, ncols=n)
+
+
+square_matrices = st.integers(0, 5).flatmap(lambda n: rational_matrices(n, n))
+
+
+def to_sympy(M):
+    return sympy.Matrix(M.nrows, M.ncols, [sympy.Rational(x) for row in M.rows for x in row])
+
+
+def from_sympy(S):
+    return tuple(tuple(Fraction(int(x.p), int(x.q)) for x in S.row(i)) for i in range(S.rows))
+
+
+def assert_normalized(M):
+    # is_integral, __eq__ and __hash__ rely on integral entries being ints
+    assert all(
+        type(x) is int or (type(x) is Fraction and x.denominator != 1)
+        for row in M.rows for x in row
+    ), M
+
+
+def oracle_solve(A, B):
+    """Free-variables-zero solution of A X = B from the Fraction RREF, or None."""
+    red, pivots = fraction_rref(A.hstack(B))
+    if any(p >= A.ncols for p in pivots):
+        return None
+    sol = [[0] * B.ncols for _ in range(A.ncols)]
+    for r, c in enumerate(pivots):
+        sol[c] = list(red[r][A.ncols:])
+    return tuple(map(tuple, sol))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_rref_and_rank_against_oracles(M):
+    R, pivots = M.rref()
+    assert_normalized(R)
+    assert (R.rows, pivots) == fraction_rref(M)
+    S, spivots = to_sympy(M).rref()
+    assert R.rows == from_sympy(S) and pivots == list(spivots)
+    assert M.rank() == len(pivots) == to_sympy(M).rank()
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices)
+def test_det_and_inverse_against_oracles(M):
+    d = M.det()
+    assert type(d) is int or d.denominator != 1
+    assert d == fraction_det(M) == to_sympy(M).det()
+    if d == 0:
+        with pytest.raises(DomainError, match="singular"):
+            M.inverse()
+        return
+    inv = M.inverse()
+    assert_normalized(inv)
+    assert inv.rows == from_sympy(to_sympy(M).inv())
+    assert inv.rows == oracle_solve(M, Mat.identity(M.nrows))
+    assert M * inv == Mat.identity(M.nrows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_solve_against_oracles(data):
+    A = data.draw(rational_matrices())
+    B = data.draw(rational_matrices(nrows=A.nrows))
+    expected = oracle_solve(A, B)
+    sympy_sol = None
+    if B.ncols:  # sympy rejects a right-hand side with no columns
+        try:
+            S, params = to_sympy(A).gauss_jordan_solve(to_sympy(B))
+            sympy_sol = from_sympy(S.subs({p: 0 for p in params}))
+        except ValueError:
+            pass
+    if expected is None:
+        assert sympy_sol is None
+        with pytest.raises(DomainError, match="inconsistent"):
+            A.solve(B)
+        return
+    X = A.solve(B)
+    assert_normalized(X)
+    assert X.rows == expected
+    if B.ncols:
+        assert X.rows == sympy_sol
+    assert A * X == B
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_kernel_basis_against_oracles(M):
+    K = M.kernel_basis()
+    assert_normalized(K)
+    red, pivots = fraction_rref(M)
+    free = [c for c in range(M.ncols) if c not in pivots]
+    assert K.ncols == len(free)
+    for fc, col in zip(free, K.columns()):
+        v = [Fraction(0)] * M.ncols
+        v[fc] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][fc]
+        assert col == tuple(v)
+    assert K.columns() == [
+        from_sympy(v.T)[0] for v in to_sympy(M).nullspace()
+    ]
+    assert (M * K).is_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_products_against_oracles(data):
+    A = data.draw(rational_matrices())
+    B = data.draw(rational_matrices(nrows=A.ncols))
+    P = A * B
+    assert_normalized(P)
+    expected = tuple(
+        tuple(sum((Fraction(a) * b for a, b in zip(row, col)), Fraction(0)) for col in B.columns())
+        for row in A.rows
+    )
+    assert (P.nrows, P.ncols) == (A.nrows, B.ncols)
+    assert P.rows == expected == from_sympy(to_sympy(A) * to_sympy(B))
+    c = data.draw(_entries)
+    assert_normalized(A * c)
+    assert (A * c).rows == tuple(tuple(Fraction(x) * c for x in row) for row in A.rows)
+    if B.ncols:
+        vec = B.col(0)
+        assert A.apply(vec) == P.col(0)
+        assert all(type(x) is int or x.denominator != 1 for x in A.apply(vec))
+
