@@ -18,7 +18,6 @@ pulled-back Jacobians (B = the transfer image).
 from symplat import (
     classify_mti_K,
     preset_m2,
-    prym_sublattice,
     standard_cover,
     welters_construct,
 )
@@ -39,7 +38,8 @@ if __name__ == "__main__":
         show(f"preset {kind} on the (g=2, m=2) cover", preset_m2(kind, cov))
 
     cov3 = standard_cover(2, 3)
-    _, pullback = prym_sublattice(cov3)
+    # the pair (A = Prym, B = pullback): pr_B, ker mu_B and j are built once
+    pair = cov3.pair()
     for (a, b), K in classify_mti_K(cov3):
-        out = welters_construct(cov3.total, pullback, K, 3)
+        out = welters_construct(pair, K, 3)
         show(f"degree-3 pipeline with K = <{a} xi + {b} P1>", out)

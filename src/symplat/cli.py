@@ -22,7 +22,6 @@ from .covers import (
     eta_class,
     ker_mu_basis,
     norm_component_group,
-    prym_sublattice,
     standard_cover,
     verify_kernel_identification,
 )
@@ -198,8 +197,7 @@ def cmd_welters(fixture_path, K_label="1:0"):
             f"no subgroup labeled {label}; available: {sorted(labeled)}"
         )
     K = labeled[label]
-    _, sub_B = prym_sublattice(cov)
-    out = welters_construct(cov.total, sub_B, K, cov.m)
+    out = welters_construct(cov.pair(), K, cov.m)
     _, P1, _ = ker_mu_basis(cov)
     return {
         "schema": SCHEMA,

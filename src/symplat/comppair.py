@@ -6,10 +6,12 @@ intersection A ∩ B = ker λ_A = ker λ_B, and the endomorphism j acting as 1
 on A and 1-m on B.  Choosing a maximal totally isotropic subgroup K of
 ker μ_B produces a principal lattice X = B̂/K together with maps u, u^t
 satisfying u∘u^t = [m] and u^t∘u = 1-j; those identities are certified
-exactly on every run.
+exactly on every run.  A pair keeps pr_B, ker μ_B and j once computed, so a
+Welters census over every K of ker μ_B builds them once.
 """
 
 from fractions import Fraction
+from functools import wraps
 
 from .errors import CertificationError, DomainError, IsotropyError
 from .finquot import (
@@ -45,13 +47,14 @@ __all__ = [
 class ComplementaryPair:
     """A pair (A, B) of orthogonal-complementary sublattices of a principal one."""
 
-    __slots__ = ("ambient", "sub_B", "sub_A", "intersection")
+    __slots__ = ("ambient", "sub_B", "sub_A", "intersection", "_cache")
 
     def __init__(self, ambient, sub_B, sub_A, intersection):
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "sub_B", sub_B)
         object.__setattr__(self, "sub_A", sub_A)
         object.__setattr__(self, "intersection", intersection)
+        object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplementaryPair is immutable")
@@ -89,6 +92,16 @@ class WeltersOutput:
         return f"WeltersOutput(dim X={self.X.dim}, m={self.m})"
 
 
+def _kept(fn):
+    """Compute fn(pair, *args) once per pair and arguments, kept on the pair."""
+    @wraps(fn)
+    def kept(pair, *args):
+        if (key := (fn.__name__, *args)) not in pair._cache:
+            pair._cache[key] = fn(pair, *args)
+        return pair._cache[key]
+    return kept
+
+
 def complement(ambient, sub_B):
     """The complementary pair determined by B inside a principal lattice.
 
@@ -116,12 +129,7 @@ def complement(ambient, sub_B):
 
     intersection = FiniteQuotient(lattice_sum(sub_A, sub_B), ambient.lattice)
     pair = ComplementaryPair(ambient, sub_B, sub_A, intersection)
-
-    orders = {
-        "A∩B": intersection.order,
-        "ker λ_A": ker_lambda(pair.restricted(sub_A))[0].order if sub_A.rank else 1,
-        "ker λ_B": ker_lambda(pair.restricted(sub_B))[0].order if sub_B.rank else 1,
-    }
+    orders = _pair_orders(pair)
     if len(set(orders.values())) != 1:
         raise CertificationError(
             f"order identity |A∩B| = |ker λ_A| = |ker λ_B| failed: {orders}",
@@ -130,6 +138,17 @@ def complement(ambient, sub_B):
     return pair
 
 
+@_kept
+def _pair_orders(pair):
+    """|A∩B|, |ker λ_A| and |ker λ_B| by name."""
+    return {
+        "A∩B": pair.intersection.order,
+        "ker λ_A": ker_lambda(pair.restricted(pair.sub_A))[0].order if pair.sub_A.rank else 1,
+        "ker λ_B": ker_lambda(pair.restricted(pair.sub_B))[0].order if pair.sub_B.rank else 1,
+    }
+
+
+@_kept
 def orthogonal_projection(pair):
     """The E-orthogonal projection of the ambient span onto span(B) along span(A)."""
     A, B = pair.sub_A.basis, pair.sub_B.basis
@@ -139,6 +158,7 @@ def orthogonal_projection(pair):
     return zero_then_B * block.inverse()
 
 
+@_kept
 def j_endomorphism(pair, m):
     """The endomorphism j = 1 - m*pr_B, certified against its identities.
 
@@ -173,6 +193,7 @@ def j_endomorphism(pair, m):
     return LatticeMap(j, lam, lam)
 
 
+@_kept
 def ker_mu_of_pair(pair, m):
     """ker μ_B = ((1/m)Λ_B)/Λ_B^† with the pairing of form m*E."""
     PB = pair.restricted(pair.sub_B)
@@ -185,16 +206,18 @@ def ker_mu_of_pair(pair, m):
     return Q, PairingOnQuotient(Q, pair.ambient.form * m)
 
 
-def welters_construct(ambient, sub_B, K, m, extra_identities=()):
+def welters_construct(pair, K, m, extra_identities=()):
     """Run the full construction (Λ, Λ_B, K) → (X, u, u^t, j) and certify it.
 
-    ``K`` is a maximal totally isotropic subgroup of ker μ_B (a FiniteQuotient
-    presented over the dual lattice of B).  The returned certificate records
-    every identity checked; any failure raises CertificationError naming it.
+    ``pair`` is the complementary pair of B (see ``complement``), which keeps
+    pr_B, ker μ_B and j: a census over every K builds them once.  ``K`` is a
+    maximal totally isotropic subgroup of ker μ_B (a FiniteQuotient presented
+    over the dual lattice of B).  The returned certificate records every
+    identity checked; any failure raises CertificationError naming it.
     """
     if m < 1:
         raise DomainError("m must be >= 1")
-    pair = complement(ambient, sub_B)
+    ambient = pair.ambient
     Qmu, pmu = ker_mu_of_pair(pair, m)
     if K.lower != Qmu.lower or not K.is_subgroup_of(Qmu):
         raise DomainError("K is not presented as a subgroup of ker μ_B")
@@ -229,12 +252,7 @@ def welters_construct(ambient, sub_B, K, m, extra_identities=()):
         (j_map.matrix - one) * (j_map.matrix + one * (m - 1))
         == Mat.zero(lam.ambient_dim, lam.ambient_dim),
     )
-    orders = {
-        pair.intersection.order,
-        ker_lambda(pair.restricted(pair.sub_A))[0].order if pair.sub_A.rank else 1,
-        ker_lambda(pair.restricted(pair.sub_B))[0].order if pair.sub_B.rank else 1,
-    }
-    check("|A∩B| = |ker λ_A| = |ker λ_B|", len(orders) == 1)
+    check("|A∩B| = |ker λ_A| = |ker λ_B|", len(set(_pair_orders(pair).values())) == 1)
     for name, ok in extra_identities:
         check(name, ok)
 
@@ -273,8 +291,8 @@ def preset_m2(kind, fixture, K=None):
         ambient = cov.total
         prym, pullback = cov.prym_sublattice()
         sub_B = prym if kind == "prym_quotient" else pullback
+    pair = complement(ambient, sub_B)
     if K is None:
-        pair = complement(ambient, sub_B)
         Qmu, pmu = ker_mu_of_pair(pair, m)
         K = enumerate_mti(Qmu, pmu)[0]
-    return welters_construct(ambient, sub_B, K, m)
+    return welters_construct(pair, K, m)

@@ -18,7 +18,7 @@ computations rather than assumed.
 from math import gcd
 
 from .comppair import complement, ker_mu_of_pair, orthogonal_projection
-from .errors import CertificationError, DomainError
+from .errors import BudgetError, CertificationError, DomainError
 from .finquot import (
     FiniteQuotient,
     enumerate_mti,
@@ -51,6 +51,8 @@ __all__ = [
     "birational_predicate",
     "verify_kernel_identification",
 ]
+
+MAX_COVER_EDGES = 128  # edges of a derived graph; (g, m) = (2, 32) builds in about 1 s
 
 
 class RibbonGraph:
@@ -461,6 +463,8 @@ def cyclic_cover(R, voltages, m):
         raise DomainError("cover degree must be an int >= 1")
     if len(voltages.values) != R.n_edges:
         raise DomainError("one voltage per edge required")
+    if m * R.n_edges > MAX_COVER_EDGES:
+        raise BudgetError(f"a degree-{m} cover has more than {MAX_COVER_EDGES} edges")
 
     for orbit in R.faces():
         total = sum(
@@ -616,6 +620,8 @@ def eta_class(cov):
     """
     if cov.m < 2:
         raise DomainError("eta is defined for covers of degree >= 2")
+    if "eta" in cov._cache:
+        return cov._cache["eta"]
     upper = preimage_lattice(cov.transfer.matrix, cov.total.lattice)
     Q = FiniteQuotient(cov.base.lattice, upper)
     if Q.order != cov.m or len(Q.invariants) != 1:
@@ -627,17 +633,14 @@ def eta_class(cov):
     eta = Q.element(W.col(gen_col))
     if eta.order() != cov.m:
         raise CertificationError("eta does not have order m", ["eta-order"])
+    cov._cache["eta"] = eta
     return eta
 
 
 def _ker_mu_data(cov):
-    """(ker mu_B quotient, pairing, pr_B) for B = the transfer image."""
-    cache = cov._cache
-    if "ker_mu" not in cache:
-        pair = cov.pair()
-        Q, p = ker_mu_of_pair(pair, cov.m)
-        cache["ker_mu"] = (Q, p, orthogonal_projection(pair))
-    return cache["ker_mu"]
+    """(ker mu_B quotient, pairing, pr_B) for B = the transfer image, kept on cov.pair()."""
+    pair = cov.pair()
+    return (*ker_mu_of_pair(pair, cov.m), orthogonal_projection(pair))
 
 
 def ker_mu_basis(cov):
@@ -751,10 +754,7 @@ def birational_predicate(K, p1):
     birational onto its image.
     """
     m = p1.order()
-    for ell in range(1, m):
-        if K.upper.contains_vector((ell * p1).rep):
-            return False
-    return True
+    return not any(ell * p1 in K for ell in range(1, m))
 
 
 def verify_kernel_identification(cov, K):
@@ -790,7 +790,7 @@ def verify_kernel_identification(cov, K):
     via_norm = preimage_under_mult(nm_of_K, m)
 
     # K + <P_1> inside ker mu_B, and the direct kernel of the saturated quotient
-    K_sat = Q.subgroup([Q.element(c) for c in K.upper.basis.columns()] + [P1])
+    K_sat = Q.subgroup(K.upper.basis.columns() + [P1])
     saturated = FiniteQuotient(lam0, preimage_lattice(cov.transfer.matrix, K_sat.upper))
 
     ok = (
@@ -799,7 +799,7 @@ def verify_kernel_identification(cov, K):
         and via_norm.upper.contains_lattice(direct.upper)
         and via_norm.order == direct.order * (K_sat.order // K.order)
     )
-    if ok and K.upper.contains_vector(P1.rep):
+    if ok and P1 in K:
         ok = via_norm.upper == direct.upper
     if ok and _is_prime(m) and birational_predicate(K, P1):
         eta = eta_class(cov)

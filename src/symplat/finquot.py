@@ -3,7 +3,8 @@
 This is where torsion subgroups, kernels of polarization maps and their
 Q/Z-valued pairings live, together with exhaustive subgroup enumeration and
 the maximal-totally-isotropic (m.t.i.) machinery that drives every isogeny
-quotient in the package.
+quotient in the package.  The order of L'/L is |det T| for T the L'-basis
+coordinates of the L basis; elements are kept as their L-basis coordinates.
 """
 
 from fractions import Fraction
@@ -34,7 +35,7 @@ DEFAULT_BUDGET = 2**16
 class FiniteQuotient:
     """The finite abelian group upper/lower for nested equal-span lattices."""
 
-    __slots__ = ("lower", "upper", "_coords", "_snf", "_hash")
+    __slots__ = ("lower", "upper", "_coords", "_order", "_snf", "_hash")
 
     def __init__(self, lower, upper):
         if lower.ambient_dim != upper.ambient_dim:
@@ -51,6 +52,7 @@ class FiniteQuotient:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "_coords", T)
+        object.__setattr__(self, "_order", None)
         object.__setattr__(self, "_snf", None)
         object.__setattr__(self, "_hash", None)
 
@@ -68,11 +70,10 @@ class FiniteQuotient:
 
     @property
     def order(self):
-        _, diag = self._adapted()
-        n = 1
-        for d in diag:
-            n *= d
-        return n
+        """|det T|, T the upper-basis coordinates of the lower basis."""
+        if self._order is None:
+            object.__setattr__(self, "_order", abs(self._coords.det()))
+        return self._order
 
     @property
     def invariants(self):
@@ -126,12 +127,20 @@ class FiniteQuotient:
 
     def subgroup(self, elements):
         """The subgroup generated by the given elements (or raw vectors)."""
+        elements = list(elements)
         vecs = [e.rep if isinstance(e, QuotientElement) else tuple(e) for e in elements]
         enlarged = lattice_sum(self.lower, Lattice.from_generators(self.lower.ambient_dim, vecs)) \
             if vecs else self.lower
-        if not self.upper.contains_lattice(enlarged):
+        if not all(isinstance(e, QuotientElement) and e.parent == self for e in elements) \
+                and not self.upper.contains_lattice(enlarged):
             raise DomainError("generators do not lie in the quotient")
         return FiniteQuotient(self.lower, enlarged)
+
+    def __contains__(self, x):
+        """Whether x, an element of a quotient over ``lower``, lies here: T*x.c integral."""
+        if x.parent.lower != self.lower:
+            raise DomainError("element of a quotient over another lower lattice")
+        return _integral(self._coords.apply(x.c))
 
     def is_subgroup_of(self, other):
         return (
@@ -140,18 +149,34 @@ class FiniteQuotient:
         )
 
 
+def _integral(vector):
+    return all(type(x) is int for x in vector)
+
+
 class QuotientElement:
-    """An element of a FiniteQuotient, stored by its canonical representative."""
+    """An element of a FiniteQuotient: its lower-basis coordinates ``c`` in [0, 1).
 
-    __slots__ = ("parent", "rep")
+    Built from a vector of ``upper`` with one solve (``_coords`` skips it);
+    ``+``, ``-``, integer ``*`` and ``order`` act on ``c``, and the canonical
+    representative is ``rep`` = lower.basis * c.
+    """
 
-    def __init__(self, parent, vector):
-        vector = tuple(vector)
-        if not parent.upper.contains_vector(vector):
-            raise DomainError("representative does not lie in the upper lattice")
-        rep = parent.lower.canonical_representative(vector)
+    __slots__ = ("parent", "c", "rep")
+
+    def __init__(self, parent, vector, _coords=None):
+        c = _coords
+        if c is None:
+            try:
+                c = parent.lower.coords_of(tuple(vector))
+                inside = _integral(parent._coords.apply(c))  # upper coordinates T*c
+            except DomainError:
+                inside = False
+            if not inside:
+                raise DomainError("representative does not lie in the upper lattice")
+        c = tuple(x % 1 or 0 for x in c)
         object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "rep", tuple(rep))
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "rep", parent.lower.basis.apply(c))
 
     def __setattr__(self, name, value):
         raise AttributeError("QuotientElement is immutable")
@@ -169,25 +194,26 @@ class QuotientElement:
     def __add__(self, other):
         if self.parent != other.parent:
             raise DomainError("elements of different quotients")
-        return QuotientElement(self.parent, tuple(a + b for a, b in zip(self.rep, other.rep)))
+        return QuotientElement(self.parent, None, [a + b for a, b in zip(self.c, other.c)])
 
     def __neg__(self):
-        return QuotientElement(self.parent, tuple(-a for a in self.rep))
+        return QuotientElement(self.parent, None, [-a for a in self.c])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, k):
-        return QuotientElement(self.parent, tuple(k * a for a in self.rep))
+        if not isinstance(k, int):
+            return QuotientElement(self.parent, tuple(k * a for a in self.rep))
+        return QuotientElement(self.parent, None, [k * a for a in self.c])
 
     __rmul__ = __mul__
 
     def is_zero(self):
-        return all(a == 0 for a in self.rep)
+        return not any(self.c)
 
     def order(self):
-        coords = self.parent.lower.coords_of(self.rep)
-        return lcm(*(Fraction(c).denominator for c in coords)) if coords else 1
+        return lcm(*(Fraction(a).denominator for a in self.c))
 
     def __repr__(self):
         return f"QuotientElement({self.rep})"

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError
-from .matrix import Mat, hermite_column_form, integer_kernel, smith_normal_form
+from .matrix import Mat, _hermite_basis, _times, integer_kernel, smith_normal_form
 
 __all__ = [
     "Lattice",
@@ -127,19 +127,11 @@ class Lattice:
     def scaled(self, c):
         return Lattice(self.ambient_dim, self.basis * Fraction(c))
 
-    def canonical_representative(self, vector):
-        """The canonical representative of ``vector`` modulo this lattice.
-
-        The vector must lie in the span; coordinates are reduced into [0, 1).
-        """
-        return self.basis.apply([c % 1 for c in self.coords_of(vector)])
-
 
 def _canonical_basis(basis):
+    """The Hermite form of d*basis over d, d the lcm of the denominators."""
     d = basis.denominator_lcm()
-    scaled = basis * d if d != 1 else basis
-    H = hermite_column_form(Mat(scaled.rows, ncols=scaled.ncols))
-    return H * Fraction(1, d) if d != 1 else H
+    return _hermite_basis([_times(c, d) for c in basis.T.rows], basis.nrows, d)
 
 
 def saturate(vectors, L):
@@ -153,9 +145,10 @@ def saturate(vectors, L):
     if not vecs:
         return Lattice(L.ambient_dim, Mat.from_columns([], nrows=L.ambient_dim))
     S = Mat.from_columns(vecs, nrows=L.ambient_dim)
-    for j in range(S.ncols):
-        if not L.span_contains(S.col(j)):
-            raise DomainError("spanning vector outside the span of the lattice")
+    try:
+        L.coords_matrix(S)
+    except DomainError:
+        raise DomainError("spanning vector outside the span of the lattice")
     # annihilator rows of span(S): kernel of S^T
     ann = S.T.kernel_basis()
     return kernel_lattice(ann.T, L)

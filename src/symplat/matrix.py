@@ -188,7 +188,7 @@ class Mat:
 
     @property
     def T(self):
-        return Mat._trusted(tuple(self.col(j) for j in range(self.ncols)), self.nrows)
+        return Mat._trusted(tuple(zip(*self.rows)) or ((),) * self.ncols, self.nrows)
 
     def is_integral(self):
         return all(isinstance(x, int) for row in self.rows for x in row)
@@ -259,11 +259,6 @@ class Mat:
         return Mat._trusted(
             tuple(r1 + r2 for r1, r2 in zip(self.rows, other.rows)), self.ncols + other.ncols
         )
-
-    def vstack(self, other):
-        if self.ncols != other.ncols:
-            raise DomainError("shape mismatch in vstack")
-        return Mat._trusted(self.rows + other.rows, self.ncols)
 
     def take_columns(self, indices):
         return Mat.from_columns([self.col(j) for j in indices], nrows=self.nrows)
@@ -482,7 +477,8 @@ def smith_normal_form(M):
         if st.a[i][i] < 0:
             st.negate_row(i)
 
-    U, D, V = Mat(st.u), Mat(st.a, ncols=st.n), Mat(st.v)
+    U, D, V = (Mat._trusted(tuple(map(tuple, a)), n)
+               for a, n in ((st.u, st.m), (st.a, st.n), (st.v, st.n)))
     # The transforms certify themselves; this is the kernel everything rests on.
     if U * M * V != D:
         raise CertificationError("Smith normal form transforms fail U*M*V = D", ["U*M*V = D"])
@@ -533,9 +529,16 @@ def hermite_column_form(M):
     spans are equal iff their Hermite forms are equal.
     """
     _require_integral(M, "hermite_column_form")
-    cols = [list(M.col(j)) for j in range(M.ncols)]
-    r = _column_echelon(cols, M.nrows, canonical=True)
-    return Mat.from_columns(cols[:r], nrows=M.nrows)
+    return _hermite_basis([list(c) for c in M.T.rows], M.nrows)
+
+
+def _hermite_basis(cols, nrows, d=1):
+    """``hermite_column_form`` of the integer columns ``cols`` (reduced in place), over d."""
+    r = _column_echelon(cols, nrows, canonical=True)
+    rows = tuple(zip(*cols[:r])) or ((),) * nrows
+    if d != 1:
+        rows = tuple(tuple(_q(x, d) for x in row) for row in rows)
+    return Mat._trusted(rows, r)
 
 
 def integer_kernel(M):

@@ -7,13 +7,14 @@ elements, and maximality of isotropic subgroups via exhaustive extension.
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm, prod
 
 import pytest
 
 from symplat.covers import standard_cover
+from symplat.errors import DomainError
 from symplat.finquot import enumerate_subgroups, is_maximal_isotropic
-from symplat.matrix import Mat
+from symplat.matrix import Mat, hermite_column_form, smith_normal_form
 
 
 # -- cover fixtures shared across modules ------------------------------------
@@ -87,6 +88,57 @@ def fraction_det(M):
                 f = rows[i][c] * inv
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return det
+
+
+# -- oracles: the lattice layer before quotient elements kept coordinates ----
+
+def canonical_basis_oracle(basis):
+    """A lattice's canonical basis the way ``Lattice`` built it before.
+
+    Scale to integers with a Mat product, take ``hermite_column_form``, and
+    scale back with a second product.
+    """
+    d = basis.denominator_lcm()
+    scaled = basis * d if d != 1 else basis
+    H = hermite_column_form(Mat(scaled.rows, ncols=scaled.ncols))
+    return H * Fraction(1, d) if d != 1 else H
+
+
+def snf_order(Q):
+    """|Q| as the product of the Smith diagonal of the lower basis in upper coordinates."""
+    _, D, _ = smith_normal_form(Q.upper.coords_matrix(Q.lower.basis))
+    return prod(D.rows[i][i] for i in range(D.nrows))
+
+
+class OracleElement:
+    """A quotient element stored by its canonical representative only.
+
+    Membership is an upper solve, the representative comes from a lower
+    solve, and every operation works on representatives and solves again.
+    """
+
+    def __init__(self, Q, vector):
+        vector = tuple(vector)
+        if not Q.upper.contains_vector(vector):
+            raise DomainError("representative does not lie in the upper lattice")
+        self.Q = Q
+        self.rep = Q.lower.basis.apply([c % 1 for c in Q.lower.coords_of(vector)])
+
+    def __add__(self, other):
+        return OracleElement(self.Q, [a + b for a, b in zip(self.rep, other.rep)])
+
+    def __neg__(self):
+        return OracleElement(self.Q, [-a for a in self.rep])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, k):
+        return OracleElement(self.Q, [k * a for a in self.rep])
+
+    def order(self):
+        coords = self.Q.lower.coords_of(self.rep)
+        return lcm(*(Fraction(c).denominator for c in coords)) if coords else 1
 
 
 # -- oracle: Smith invariants via determinantal divisors ---------------------

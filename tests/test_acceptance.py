@@ -83,6 +83,22 @@ def test_criterion_1_census_g2_m4():
     report(1, ok, f"(g=2,m=4): {len(quotients)} subgroups; {elapsed:.1f}s < 20s")
 
 
+def test_criterion_1_census_g3_m3():
+    """The (3,3) census: 1120 = 4*10*28 subgroups of order 27, every quotient principal."""
+    start = time.monotonic()
+    code, text = run(["quotient", "--g", "3", "--m", "3"])
+    elapsed = time.monotonic() - start
+    payload = json.loads(text) if code == EXIT_OK else {}
+    quotients = payload.get("quotients", [])
+    ok = (
+        code == EXIT_OK
+        and payload["count"] == len(quotients) == 1120
+        and all(q["K_order"] == "27" and q["principal"] for q in quotients)
+        and elapsed < 60
+    )
+    report(1, ok, f"(g=3,m=3): {len(quotients)} subgroups; {elapsed:.1f}s < 60s")
+
+
 def test_criterion_2_cover_suite(cover22, cover23, cover32, cover24):
     """Cyclic-cover invariants for (2,2), (2,3), (3,2), (2,4)."""
     start = time.monotonic()
@@ -155,14 +171,13 @@ def test_criterion_4_welters_certification(cover22, cover23):
     runs = []
     for kind in M2_PRESETS:
         runs.append((f"{kind}@(2,2)", preset_m2(kind, cover22)))
-    _, sub_B3 = prym_sublattice(cover23)
     for (a, b), K in classify_mti_K(cover23):
-        runs.append((f"pullback@(2,3) K={a}:{b}", welters_construct(cover23.total, sub_B3, K, 3)))
+        runs.append((f"pullback@(2,3) K={a}:{b}", welters_construct(cover23.pair(), K, 3)))
     prym3, _ = prym_sublattice(cover23)
     pair3 = complement(cover23.total, prym3)
     Q3, p3 = ker_mu_of_pair(pair3, 3)
     for K in enumerate_mti(Q3, p3):
-        runs.append(("prym@(2,3)", welters_construct(cover23.total, prym3, K, 3)))
+        runs.append(("prym@(2,3)", welters_construct(pair3, K, 3)))
 
     ok = True
     for name, out in runs:

@@ -197,6 +197,43 @@ def test_cover_under_python_O_matches_in_process():
     assert proc.stdout == run(argv)[1]
 
 
+def test_welters_under_python_O_matches_in_process(tmp_path):
+    fixture = tmp_path / "cover.json"
+    assert run(["cover", "--g", "2", "--m", "3", "--out", str(fixture)])[0] == EXIT_OK
+    argv = ["welters", str(fixture), "--K", "1:0"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "symplat.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == run(argv)[1]
+
+
+def test_cover_degree_is_bounded():
+    # a genus-1 cover stays genus 1, so only the degree grows the derived graph
+    start = time.monotonic()
+    code, text = run(["cover", "--g", "1", "--m", "10000"])
+    assert code == EXIT_BUDGET, text
+    assert time.monotonic() - start < 1
+
+
+def test_welters_fixture_degree_is_bounded(tmp_path):
+    # a ~1 KB genus-1 fixture whose m asks for a 10^4-sheeted cover
+    code, text = run(["cover", "--g", "1", "--m", "2"])
+    assert code == EXIT_OK
+    obj = json.loads(text)["fixture"]
+    obj["m"] = 10**4
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"fixture": obj}))
+    assert path.stat().st_size < 2048
+    start = time.monotonic()
+    code, text = run(["welters", str(path), "--K", "1:0"])
+    assert code == EXIT_BUDGET, text
+    assert time.monotonic() - start < 1
+
+
 def test_welters_unknown_label(tmp_path):
     fixture = tmp_path / "cover.json"
     run(["cover", "--g", "2", "--m", "2", "--out", str(fixture)])

@@ -11,7 +11,9 @@ from symplat.comppair import (
     preset_m2,
     welters_construct,
 )
-from symplat.covers import prym_sublattice
+from symplat import cli, comppair, covers
+from symplat.covers import classify_mti_K, prym_sublattice, standard_cover
+from symplat.jsonio import welters_report
 from symplat.errors import DomainError, IsotropyError
 from symplat.finquot import enumerate_mti
 from symplat.lattice import Lattice, kernel_lattice
@@ -138,7 +140,7 @@ def test_welters_m1_degenerate():
     pair = complement(P, P.lattice)
     Q, p = ker_mu_of_pair(pair, 1)
     assert Q.is_trivial()
-    out = welters_construct(P, P.lattice, Q.subgroup([]), 1)
+    out = welters_construct(pair, Q.subgroup([]), 1)
     assert out.X == P
     assert out.u.matrix == Mat.identity(2)
 
@@ -148,8 +150,9 @@ def test_welters_jacobian_preset_exhaustive(g, m):
     """B = the whole lattice: the quotient-of-Jacobians family."""
     P = standard_principal(g)
     tors, p = torsion_subgroup(P, m)
+    pair = complement(P, P.lattice)
     for K in enumerate_mti(tors, p):
-        out = welters_construct(P, P.lattice, K, m)
+        out = welters_construct(pair, K, m)
         assert polarization_type(out.X).is_principal
         assert all(out.certificate.values())
         # u u^t = [m] and u^t u = 1 - j were certified; spot-check the matrices
@@ -162,7 +165,7 @@ def test_welters_rejects_non_mti():
     tors, p = torsion_subgroup(P, 2)
     not_maximal = tors.subgroup([tors.element((Fraction(1, 2), 0, 0, 0))])
     with pytest.raises(IsotropyError):
-        welters_construct(P, P.lattice, not_maximal, 2)
+        welters_construct(complement(P, P.lattice), not_maximal, 2)
 
 
 def test_welters_rejects_wrong_presentation():
@@ -171,7 +174,7 @@ def test_welters_rejects_wrong_presentation():
     tors, p = torsion_subgroup(P, 2)
     K = enumerate_mti(tors, p)[0]
     with pytest.raises(DomainError):
-        welters_construct(P, sub_B, K, 2)  # K lives over the wrong lattice
+        welters_construct(complement(P, sub_B), K, 2)  # K lives over the wrong lattice
 
 
 def test_welters_fails_fast_on_bad_divisibility():
@@ -225,6 +228,46 @@ def test_welters_on_cover_all_K(cover22):
     pair = complement(cover22.total, sub_B)
     Q, p = ker_mu_of_pair(pair, 2)
     for K in enumerate_mti(Q, p):
-        out = welters_construct(cover22.total, sub_B, K, 2)
+        out = welters_construct(pair, K, 2)
         assert out.X.dim == 2
         assert all(out.certificate.values())
+
+
+def _count_complement(monkeypatch):
+    calls = []
+    real = comppair.complement
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (comppair, covers):
+        monkeypatch.setattr(module, "complement", counting)
+    return calls
+
+
+def test_cmd_welters_builds_one_pair(monkeypatch, tmp_path):
+    fixture = tmp_path / "cover.json"
+    assert cli.run(["cover", "--g", "2", "--m", "2", "--out", str(fixture)])[0] == cli.EXIT_OK
+    calls = _count_complement(monkeypatch)
+    code, text = cli.run(["welters", str(fixture), "--K", "1:0"])
+    assert code == cli.EXIT_OK, text
+    assert len(calls) == 1
+
+
+def test_welters_census_through_one_pair(monkeypatch):
+    cov = standard_cover(2, 3)
+    pair = cov.pair()
+    labeled = classify_mti_K(cov)
+    calls = _count_complement(monkeypatch)
+    census = [welters_construct(pair, K, 3) for _, K in labeled]
+    assert calls == []
+    # pr_B, ker mu_B and j were built once, on the pair
+    assert all(out.pair is pair and out.j is census[0].j for out in census)
+    _, sub_B = prym_sublattice(cov)
+    for out, (_, K) in zip(census, labeled):
+        alone = welters_construct(complement(cov.total, sub_B), K, 3)
+        assert out.certificate == alone.certificate
+        assert all(out.certificate.values())
+        assert out.X == alone.X and out.u.matrix == alone.u.matrix
+        assert welters_report(out) == welters_report(alone)

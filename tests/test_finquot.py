@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symplat.errors import BudgetError, DomainError
@@ -29,10 +29,12 @@ from symplat.pollat import (
 )
 
 from conftest import (
+    OracleElement,
     brute_force_mti,
     filtered_mti,
     library_subgroup_as_set,
     quotient_as_table,
+    snf_order,
 )
 
 Z2 = Lattice.standard(2)
@@ -322,3 +324,75 @@ def test_subgroup_count_formula_symplectic():
         Q, pp = torsion_subgroup(P, p_)
         found = enumerate_mti(Q, pp)
         assert len(found) == prod(p_**i + 1 for i in range(1, g + 1))
+
+
+# -- order, elements and membership against the representative-only oracle --
+
+_small_rationals = st.one_of(
+    st.integers(-4, 4), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+)
+
+
+@st.composite
+def nested_quotients(draw):
+    """upper = B Z^r for a rational n x r basis B of full rank, lower = B M Z^r."""
+    n = draw(st.integers(1, 4))
+    r = draw(st.integers(1, n))
+    B = Mat([[draw(_small_rationals) for _ in range(r)] for _ in range(n)], ncols=r)
+    assume(B.rank() == r)
+    M = Mat([[draw(st.integers(-3, 3)) for _ in range(r)] for _ in range(r)], ncols=r)
+    assume(M.det() != 0)
+    return FiniteQuotient(Lattice(n, B * M), Lattice(n, B))
+
+
+def _check_against_oracle(Q, data):
+    assert Q.order == snf_order(Q)
+    B, r = Q.upper.basis, Q.upper.rank
+    coeffs = st.lists(st.integers(-6, 6), min_size=r, max_size=r)
+    xv, yv = B.apply(data.draw(coeffs)), B.apply(data.draw(coeffs))
+    k = data.draw(st.integers(-7, 7))
+    x, y = Q.element(xv), Q.element(yv)
+    ox, oy = OracleElement(Q, xv), OracleElement(Q, yv)
+    pairs = [(x, ox), (x + y, ox + oy), (x - y, ox - oy), (-x, -ox), (k * x, ox * k),
+             (x * k, ox * k)]
+    for new, old in pairs:
+        assert new.rep == old.rep
+        assert new.order() == old.order()
+        assert all(0 <= c < 1 for c in new.c)
+        assert new == Q.element(old.rep)
+    # membership in the subgroup generated by x: T*c integral, no solve
+    S = Q.subgroup([x])
+    assert (y in S) == S.upper.contains_vector(y.rep)
+    assert x in S and (k * x) in S
+    # a vector of span(upper) outside upper is still refused, with the same message
+    half = B.apply([Fraction(1, 2)] + [0] * (r - 1))
+    for make in (Q.element, lambda v: OracleElement(Q, v)):
+        with pytest.raises(DomainError, match="^representative does not lie in the upper lattice$"):
+            make(half)
+
+
+@settings(max_examples=60, deadline=None)
+@given(Q=nested_quotients(), data=st.data())
+def test_order_and_elements_against_oracle(Q, data):
+    _check_against_oracle(Q, data)
+
+
+_TORSION_SUBGROUPS = {}
+
+
+@settings(max_examples=30, deadline=None)
+@given(gm=st.sampled_from([(1, 2), (1, 4), (1, 6), (2, 2), (2, 3)]), data=st.data())
+def test_torsion_subgroups_against_oracle(gm, data):
+    if gm not in _TORSION_SUBGROUPS:
+        Q, _ = torsion_subgroup(standard_principal(gm[0]), gm[1])
+        _TORSION_SUBGROUPS[gm] = enumerate_subgroups(Q)
+    S = data.draw(st.sampled_from(_TORSION_SUBGROUPS[gm]))
+    _check_against_oracle(S, data)
+
+
+def test_element_outside_the_span_is_refused():
+    Q = FiniteQuotient(Lattice.from_generators(2, [(2, 0)]), Lattice.from_generators(2, [(1, 0)]))
+    with pytest.raises(DomainError, match="^representative does not lie in the upper lattice$"):
+        Q.element((0, 1))
+    with pytest.raises(DomainError, match="^representative does not lie in the upper lattice$"):
+        OracleElement(Q, (0, 1))

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symplat.errors import DomainError
+from symplat.finquot import FiniteQuotient
 from symplat.lattice import (
     Lattice,
     congruence_kernel,
@@ -17,6 +20,8 @@ from symplat.lattice import (
     saturate,
 )
 from symplat.matrix import Mat
+
+from conftest import canonical_basis_oracle
 
 
 Z2 = Lattice.standard(2)
@@ -158,7 +163,33 @@ def test_preimage_lattice():
 
 
 def test_canonical_representative():
+    # the representative modulo L, coordinates reduced into [0, 1), is the
+    # quotient element's rep
     L = Lattice.from_generators(2, [(2, 0), (0, 2)])
-    rep = L.canonical_representative((3, -1))
-    assert rep == (1, 1)
-    assert L.canonical_representative((0, 0)) == (0, 0)
+    Q = FiniteQuotient(L, Z2)
+    assert Q.element((3, -1)).rep == (1, 1)
+    assert Q.element((0, 0)).rep == (0, 0)
+
+
+_entries = st.one_of(
+    st.just(0), st.integers(-6, 6), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+)
+
+
+@st.composite
+def generator_matrices(draw):
+    """Rational n x k generator matrices, k up to n + 2 (so often dependent)."""
+    n = draw(st.integers(0, 4))
+    k = draw(st.integers(0, n + 2))
+    return Mat([[draw(_entries) for _ in range(k)] for _ in range(n)], ncols=k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_matrices())
+def test_canonical_basis_against_oracle(M):
+    L = Lattice(M.nrows, M)
+    assert L.basis == canonical_basis_oracle(M)
+    assert all(type(x) is int or x.denominator != 1 for row in L.basis.rows for x in row)
+    # every generator is an integer combination of the basis
+    if M.ncols and L.rank:
+        assert L.coords_matrix(M).is_integral()
