@@ -204,7 +204,7 @@ class QuotientElement:
 
     def __mul__(self, k):
         if not isinstance(k, int):
-            return QuotientElement(self.parent, tuple(k * a for a in self.rep))
+            raise DomainError("quotient elements are scaled by integers only")
         return QuotientElement(self.parent, None, [k * a for a in self.c])
 
     __rmul__ = __mul__

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError
-from .matrix import Mat, _hermite_basis, _times, integer_kernel, smith_normal_form
+from .matrix import Mat, hermite_basis, integer_kernel, smith_normal_form
 
 __all__ = [
     "Lattice",
@@ -36,7 +36,7 @@ class Lattice:
         if basis.nrows != ambient_dim:
             raise DomainError("basis rows must match ambient dimension")
         if not _canonical:
-            basis = _canonical_basis(basis)
+            basis = hermite_basis(basis)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_hash", None)
@@ -126,12 +126,6 @@ class Lattice:
 
     def scaled(self, c):
         return Lattice(self.ambient_dim, self.basis * Fraction(c))
-
-
-def _canonical_basis(basis):
-    """The Hermite form of d*basis over d, d the lcm of the denominators."""
-    d = basis.denominator_lcm()
-    return _hermite_basis([_times(c, d) for c in basis.T.rows], basis.nrows, d)
 
 
 def saturate(vectors, L):

@@ -24,6 +24,7 @@ __all__ = [
     "xgcd",
     "smith_normal_form",
     "hermite_column_form",
+    "hermite_basis",
     "integer_kernel",
 ]
 
@@ -529,13 +530,16 @@ def hermite_column_form(M):
     spans are equal iff their Hermite forms are equal.
     """
     _require_integral(M, "hermite_column_form")
-    return _hermite_basis([list(c) for c in M.T.rows], M.nrows)
+    return hermite_basis(M)
 
 
-def _hermite_basis(cols, nrows, d=1):
-    """``hermite_column_form`` of the integer columns ``cols`` (reduced in place), over d."""
-    r = _column_echelon(cols, nrows, canonical=True)
-    rows = tuple(zip(*cols[:r])) or ((),) * nrows
+def hermite_basis(M):
+    """``hermite_column_form(d*M) / d``, d the lcm of M's denominators: the
+    canonical basis of the lattice spanned by M's rational columns."""
+    d = M.denominator_lcm()
+    cols = [_times(c, d) for c in M.T.rows]
+    r = _column_echelon(cols, M.nrows, canonical=True)
+    rows = tuple(zip(*cols[:r])) or ((),) * M.nrows
     if d != 1:
         rows = tuple(tuple(_q(x, d) for x in row) for row in rows)
     return Mat._trusted(rows, r)

@@ -360,6 +360,10 @@ def _check_against_oracle(Q, data):
         assert new.order() == old.order()
         assert all(0 <= c < 1 for c in new.c)
         assert new == Q.element(old.rep)
+    # integer scalars only: a Fraction is refused even when it would stay in upper
+    for scalar in (Fraction(1), Fraction(1, 2)):
+        with pytest.raises(DomainError, match="^quotient elements are scaled by integers only$"):
+            scalar * x
     # membership in the subgroup generated by x: T*c integral, no solve
     S = Q.subgroup([x])
     assert (y in S) == S.upper.contains_vector(y.rep)
