@@ -13,10 +13,12 @@ certification failure, 2 enumeration budget exceeded, 3 input validation.
 """
 
 import argparse
+import json
 import sys
 
-from .comppair import welters_construct
+from .comppair import ker_mu_of_pair, welters_construct
 from .covers import (
+    MAX_CENSUS_GENUS,
     birational_predicate,
     classify_mti_K,
     eta_class,
@@ -92,6 +94,11 @@ def build_parser():
 def cmd_quotient(g, m, mode="all", budget=DEFAULT_BUDGET):
     if g < 1 or m < 1:
         raise DomainError("quotient census needs g >= 1 and m >= 1")
+    # refuse before the O(g^3) set-up; a bounded g keeps m**(2g) cheap
+    if g > MAX_CENSUS_GENUS:
+        raise BudgetError(f"a census of genus above {MAX_CENSUS_GENUS} is not supported")
+    if m ** (2 * g) > budget:
+        raise BudgetError(f"group of order {m}^{2 * g} exceeds budget {budget}")
     P = standard_principal(g)
     tors, pairing = torsion_subgroup(P, m)
     subgroups = enumerate_mti(tors, pairing, budget=budget)
@@ -146,7 +153,7 @@ def cmd_cover(g, m):
         labeled = classify_mti_K(cov)
         cert["component_group_order"] = str(group.order)
         cert["ker_transfer_order"] = str(eta.order())
-        cert["ker_mu_invariants"] = [str(d) for d in _ker_mu_invs(cov)]
+        cert["ker_mu_invariants"] = [str(d) for d in ker_mu_of_pair(cov.pair(), m)[0].invariants]
         cert["ker_mu_basis_checks"] = checks
         cert["subgroups"] = []
         for (a, b), K in labeled:
@@ -171,16 +178,7 @@ def cmd_cover(g, m):
     }
 
 
-def _ker_mu_invs(cov):
-    from .covers import _ker_mu_data
-
-    Q, _, _ = _ker_mu_data(cov)
-    return Q.invariants
-
-
 def cmd_welters(fixture_path, K_label="1:0"):
-    import json
-
     try:
         with open(fixture_path) as fh:
             payload = json.load(fh)

@@ -10,24 +10,18 @@ exactly on every run.  A pair keeps pr_B, ker μ_B and j once computed, so a
 Welters census over every K of ker μ_B builds them once.
 """
 
-from fractions import Fraction
 from functools import wraps
 
-from .errors import CertificationError, DomainError, IsotropyError
-from .finquot import (
-    FiniteQuotient,
-    PairingOnQuotient,
-    enumerate_mti,
-    is_maximal_isotropic,
-)
+from .errors import CertificationError, DomainError, IsotropyError, certify
+from .finquot import FiniteQuotient, enumerate_mti, is_maximal_isotropic
 from .lattice import Lattice, kernel_lattice, lattice_sum, saturate
 from .matrix import Mat
 from .pollat import (
     LatticeMap,
     PolarizedLattice,
     adjoint_map,
-    dual_lattice,
     ker_lambda,
+    ker_mu_pairing,
     polarization_type,
 )
 
@@ -93,12 +87,12 @@ class WeltersOutput:
 
 
 def _kept(fn):
-    """Compute fn(pair, *args) once per pair and arguments, kept on the pair."""
+    """Compute fn(obj, *args) once per object and arguments, kept in obj._cache."""
     @wraps(fn)
-    def kept(pair, *args):
-        if (key := (fn.__name__, *args)) not in pair._cache:
-            pair._cache[key] = fn(pair, *args)
-        return pair._cache[key]
+    def kept(obj, *args):
+        if (key := (fn.__name__, *args)) not in obj._cache:
+            obj._cache[key] = fn(obj, *args)
+        return obj._cache[key]
     return kept
 
 
@@ -177,36 +171,24 @@ def j_endomorphism(pair, m):
         raise CertificationError(
             "j does not preserve the lattice (inconsistent pair)", ["j-integrality"]
         )
-    failures = []
     one = Mat.identity(n)
-    if (j - one) * (j + one * (m - 1)) != Mat.zero(n, n):
-        failures.append("prym-tjurin")
-    if kernel_lattice(one - j, lam) != pair.sub_A:
-        failures.append("ker(1-j)=A")
-    if kernel_lattice(j + one * (m - 1), lam) != pair.sub_B:
-        failures.append("ker(j+m-1)=B")
     E = pair.ambient.form
-    if (one - j).T * E != E * (one - j):
-        failures.append("pr_B-self-adjoint")
-    if failures:
-        raise CertificationError(f"j identities failed: {failures}", failures)
+    certify("j identities", {
+        "prym-tjurin": (j - one) * (j + one * (m - 1)) == Mat.zero(n, n),
+        "ker(1-j)=A": kernel_lattice(one - j, lam) == pair.sub_A,
+        "ker(j+m-1)=B": kernel_lattice(j + one * (m - 1), lam) == pair.sub_B,
+        "pr_B-self-adjoint": (one - j).T * E == E * (one - j),
+    })
     return LatticeMap(j, lam, lam)
 
 
 @_kept
 def ker_mu_of_pair(pair, m):
     """ker μ_B = ((1/m)Λ_B)/Λ_B^† with the pairing of form m*E."""
-    PB = pair.restricted(pair.sub_B)
-    dualB = dual_lattice(PB)
-    if not pair.sub_B.contains_lattice(dualB.scaled(m)):
-        raise DomainError(
-            f"the type of E|B must divide m={m} (condition ker λ_B ⊆ m-torsion)"
-        )
-    Q = FiniteQuotient(dualB, pair.sub_B.scaled(Fraction(1, m)))
-    return Q, PairingOnQuotient(Q, pair.ambient.form * m)
+    return ker_mu_pairing(pair.restricted(pair.sub_B), m)
 
 
-def welters_construct(pair, K, m, extra_identities=()):
+def welters_construct(pair, K, m):
     """Run the full construction (Λ, Λ_B, K) → (X, u, u^t, j) and certify it.
 
     ``pair`` is the complementary pair of B (see ``complement``), which keeps
@@ -229,36 +211,20 @@ def welters_construct(pair, K, m, extra_identities=()):
     lam = ambient.lattice
     dualB = Qmu.lower
 
-    certificate = {}
-
-    def check(name, ok):
-        certificate[name] = bool(ok)
-
-    # The identification JN/A ≅ B̂ at lattice level.
-    check("pr_B(Λ) = Λ_B^†", Lattice(lam.ambient_dim, pr_B * lam.basis) == dualB)
-
     X = PolarizedLattice(K.upper, ambient.form * m)
-    check("X principal", polarization_type(X).is_principal)
-
     u = LatticeMap(pr_B, lam, X.lattice)
     u_t = adjoint_map(u, ambient, X)
-
-    BX = X.lattice.basis
-    check("u∘u_t = [m]", u.matrix * u_t.matrix * BX == BX * m)
-    check("u_t∘u = 1 - j", u_t.matrix * u.matrix == Mat.identity(lam.ambient_dim) - j_map.matrix)
-    one = Mat.identity(lam.ambient_dim)
-    check(
-        "(j-1)(j+m-1) = 0",
-        (j_map.matrix - one) * (j_map.matrix + one * (m - 1))
-        == Mat.zero(lam.ambient_dim, lam.ambient_dim),
-    )
-    check("|A∩B| = |ker λ_A| = |ker λ_B|", len(set(_pair_orders(pair).values())) == 1)
-    for name, ok in extra_identities:
-        check(name, ok)
-
-    failures = [name for name, ok in certificate.items() if not ok]
-    if failures:
-        raise CertificationError(f"welters certification failed: {failures}", failures)
+    BX, j, n = X.lattice.basis, j_map.matrix, lam.ambient_dim
+    one = Mat.identity(n)
+    certificate = certify("welters certification", {
+        # the identification JN/A ≅ B̂ at lattice level
+        "pr_B(Λ) = Λ_B^†": Lattice(n, pr_B * lam.basis) == dualB,
+        "X principal": polarization_type(X).is_principal,
+        "u∘u_t = [m]": u.matrix * u_t.matrix * BX == BX * m,
+        "u_t∘u = 1 - j": u_t.matrix * u.matrix == one - j,
+        "(j-1)(j+m-1) = 0": (j - one) * (j + one * (m - 1)) == Mat.zero(n, n),
+        "|A∩B| = |ker λ_A| = |ker λ_B|": len(set(_pair_orders(pair).values())) == 1,
+    })
     return WeltersOutput(X, u, u_t, j_map, pair, m, K, certificate)
 
 

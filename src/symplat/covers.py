@@ -8,17 +8,22 @@ single vertex and counting signed chord crossings in the merged rotation.
 A Z/m voltage assignment on the edges produces the derived covering graph
 with its lifted ribbon structure, hence the homology of an m-fold cyclic
 unramified cover together with the deck action, the norm (pushforward) and
-the transfer.  The classical facts about such covers -- the Prym pair, the
-component group of the norm kernel, the torsion class attached to the
-cover, the classification of maximal isotropic subgroups of ker mu and the
-birationality predicate -- are all certified here by exact lattice
-computations rather than assumed.
+the transfer.  Edge (e, s) of the derived graph is edge e*m + s, and the chain
+maps act on the edge-space rows of the homology representatives by index:
+the deck action sigma takes row (e, s-1) for edge (e, s), pi_* sums the m
+rows of edge e, and pi^* copies row e to every (e, s).
+
+The classical facts about such covers -- the Prym pair, the component group
+of the norm kernel, the torsion class attached to the cover, the
+classification of maximal isotropic subgroups of ker mu and the birationality
+predicate -- are all certified here by exact lattice computations rather
+than assumed.
 """
 
 from math import gcd
 
-from .comppair import complement, ker_mu_of_pair, orthogonal_projection
-from .errors import BudgetError, CertificationError, DomainError
+from .comppair import _kept, complement, ker_mu_of_pair, orthogonal_projection
+from .errors import BudgetError, CertificationError, DomainError, certify
 from .finquot import (
     FiniteQuotient,
     enumerate_mti,
@@ -53,6 +58,13 @@ __all__ = [
 ]
 
 MAX_COVER_EDGES = 128  # edges of a derived graph; (g, m) = (2, 32) builds in about 1 s
+MAX_CENSUS_GENUS = 32  # genus of a quotient census; the g = 32, m = 1 census takes about 0.3 s
+
+
+def _check_cover_size(m, n_edges):
+    """BudgetError unless a degree-m cover of n_edges base edges is small enough."""
+    if m * n_edges > MAX_COVER_EDGES:
+        raise BudgetError(f"a degree-{m} cover has more than {MAX_COVER_EDGES} edges")
 
 
 class RibbonGraph:
@@ -63,7 +75,7 @@ class RibbonGraph:
     next-along-boundary permutation d -> rotation-successor(partner(d)).
     """
 
-    __slots__ = ("n_edges", "rotations", "vertex_of")
+    __slots__ = ("n_edges", "rotations", "vertex_of", "successor")
 
     def __init__(self, n_edges, rotations):
         rotations = tuple(tuple(r) for r in rotations)
@@ -72,13 +84,15 @@ class RibbonGraph:
             raise DomainError("the edge count and the darts must be ints")
         if len(darts) != 2 * n_edges or sorted(darts) != list(range(2 * n_edges)):
             raise DomainError("rotations must partition the darts 0..2E-1")
-        vertex_of = {}
+        vertex_of, successor = {}, {}
         for v, rot in enumerate(rotations):
-            for d in rot:
+            for i, d in enumerate(rot):
                 vertex_of[d] = v
+                successor[d] = rot[(i + 1) % len(rot)]
         object.__setattr__(self, "n_edges", n_edges)
         object.__setattr__(self, "rotations", rotations)
         object.__setattr__(self, "vertex_of", vertex_of)
+        object.__setattr__(self, "successor", successor)
 
     def __setattr__(self, name, value):
         raise AttributeError("RibbonGraph is immutable")
@@ -102,9 +116,7 @@ class RibbonGraph:
         return self.vertex_of[2 * e + 1]
 
     def rotation_successor(self, d):
-        rot = self.rotations[self.vertex_of[d]]
-        i = rot.index(d)
-        return rot[(i + 1) % len(rot)]
+        return self.successor[d]
 
     def faces(self):
         """Face boundaries as dart orbits of d -> successor(partner(d))."""
@@ -215,12 +227,16 @@ class _Homology:
     def __setattr__(self, name, value):
         raise AttributeError("_Homology is immutable")
 
-    def cycle_to_homology(self, edge_vec):
-        """Homology coordinates of a 1-cycle given as an edge-space vector."""
-        coords = tuple(edge_vec[f] for f in self.nontree)
-        if self.fund_cycles.apply(coords) != tuple(edge_vec):
+    def to_homology(self, rows):
+        """Homology columns of the 1-cycles that are the columns of ``rows``.
+
+        ``rows`` is one row per edge of the graph (an edge-space matrix).
+        """
+        cycles = Mat(rows)
+        coords = Mat([rows[f] for f in self.nontree], ncols=cycles.ncols)
+        if self.fund_cycles * coords != cycles:
             raise DomainError("edge vector is not a cycle of the graph")
-        return self.proj.apply(coords)
+        return self.proj * coords
 
     def homology_to_edges(self):
         """Representative edge vectors (columns) of the homology basis."""
@@ -228,9 +244,9 @@ class _Homology:
 
 
 def _spanning_tree(R):
-    """BFS spanning tree from vertex 0; returns (tree edge set, parent darts).
+    """BFS spanning tree from vertex 0: (tree edge set, parent edges, BFS order).
 
-    parent[v] is the dart at v's parent whose edge leads down to v.
+    parent[v] is the edge that leads from v's parent down to v.
     """
     if not R.is_connected():
         raise DomainError("ribbon graph is not connected")
@@ -250,24 +266,20 @@ def _spanning_tree(R):
     return set(tree), parent_edge, order
 
 
-def _tree_chain_to_root(R, tree, parent_edge):
-    """For each vertex v, the tree chain from v to the root as an edge vector."""
-    chains = {0: tuple([0] * R.n_edges)}
+def _tree_chain_to_root(R, parent_edge, order):
+    """For each vertex v, the tree chain from v to the root as an edge vector.
 
-    def chain(v):
-        if v in chains:
-            return chains[v]
+    A parent precedes its children in the BFS ``order``, so its chain is known.
+    """
+    chains = {0: (0,) * R.n_edges}
+    for v in order[1:]:
         e = parent_edge[v]
-        # edge e connects v to its parent; orient the step from v to parent
-        up = list(chain(R.tail_vertex(e) if R.head_vertex(e) == v else R.head_vertex(e)))
-        if R.head_vertex(e) == v:
-            up[e] -= 1  # traverse e against its orientation: v -> tail
-        else:
-            up[e] += 1
-        return tuple(up)
-
-    for v in range(R.n_vertices):
-        chains[v] = chain(v)
+        # edge e connects v to its parent; the step v -> parent runs against
+        # e's orientation when v is its head
+        at_head = R.head_vertex(e) == v
+        up = list(chains[R.tail_vertex(e) if at_head else R.head_vertex(e)])
+        up[e] += -1 if at_head else 1
+        chains[v] = tuple(up)
     return chains
 
 
@@ -317,9 +329,9 @@ def homology_with_form(R):
 
 
 def _build_homology(R):
-    tree, parent_edge, _ = _spanning_tree(R)
+    tree, parent_edge, order = _spanning_tree(R)
     nontree = [e for e in range(R.n_edges) if e not in tree]
-    chains = _tree_chain_to_root(R, tree, parent_edge)
+    chains = _tree_chain_to_root(R, parent_edge, order)
 
     cycles = []
     for f in nontree:
@@ -397,7 +409,7 @@ class CoverHomology:
     __slots__ = (
         "base_graph", "voltages", "m", "g", "cover_graph",
         "base", "total", "sigma", "pushforward", "transfer", "certificate",
-        "_base_h", "_total_h", "_pair", "_cache",
+        "_base_h", "_total_h", "_cache",
     )
 
     def __init__(self, base_graph, voltages, m, cover_graph,
@@ -415,7 +427,6 @@ class CoverHomology:
         object.__setattr__(self, "certificate", certificate)
         object.__setattr__(self, "_base_h", base_h)
         object.__setattr__(self, "_total_h", total_h)
-        object.__setattr__(self, "_pair", None)
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
@@ -428,12 +439,10 @@ class CoverHomology:
     def prym_sublattice(self):
         return prym_sublattice(self)
 
+    @_kept
     def pair(self):
         """The complementary pair (A = Prym, B = transfer image) in the total."""
-        if self._pair is None:
-            _, sub_B = prym_sublattice(self)
-            object.__setattr__(self, "_pair", complement(self.total, sub_B))
-        return self._pair
+        return complement(self.total, prym_sublattice(self)[1])
 
     def voltage_functional(self):
         """The monodromy functional on base homology (Z/m valued on H_1)."""
@@ -463,8 +472,7 @@ def cyclic_cover(R, voltages, m):
         raise DomainError("cover degree must be an int >= 1")
     if len(voltages.values) != R.n_edges:
         raise DomainError("one voltage per edge required")
-    if m * R.n_edges > MAX_COVER_EDGES:
-        raise BudgetError(f"a degree-{m} cover has more than {MAX_COVER_EDGES} edges")
+    _check_cover_size(m, R.n_edges)
 
     for orbit in R.faces():
         total = sum(
@@ -480,7 +488,6 @@ def cyclic_cover(R, voltages, m):
 
     # Derived graph: edge (e, s) runs from (tail(e), s) to (head(e), s + v(e)).
     E, V = R.n_edges, R.n_vertices
-    cov_edge = lambda e, s: e * m + s
     rotations = []
     for v in range(V):
         for s in range(m):
@@ -488,9 +495,9 @@ def cyclic_cover(R, voltages, m):
             for d in R.rotations[v]:
                 e = d // 2
                 if d % 2 == 0:
-                    rot.append(2 * cov_edge(e, s))
+                    rot.append(2 * (e * m + s))
                 else:
-                    rot.append(2 * cov_edge(e, (s - voltages.values[e]) % m) + 1)
+                    rot.append(2 * (e * m + (s - voltages.values[e]) % m) + 1)
             rotations.append(rot)
     cover = RibbonGraph(E * m, rotations)
     if not cover.is_connected():
@@ -505,35 +512,12 @@ def cyclic_cover(R, voltages, m):
             ["cover-genus"],
         )
 
-    # Chain-level matrices on edge spaces.
-    n_ce = E * m
-    sigma_edges = Mat.from_columns(
-        [tuple(1 if i == cov_edge(e, (s + 1) % m) else 0 for i in range(n_ce))
-         for e in range(E) for s in range(m)],
-        nrows=n_ce,
-    )
-    down_edges = Mat.from_columns(
-        [tuple(1 if i == e else 0 for i in range(E)) for e in range(E) for s in range(m)],
-        nrows=E,
-    )
-    up_edges = Mat.from_columns(
-        [tuple(1 if i // m == e else 0 for i in range(n_ce)) for e in range(E)],
-        nrows=n_ce,
-    )
-
-    reps = total_h.homology_to_edges()
-    base_reps = base_h.homology_to_edges()
-
-    def transport_total(chain_map_times_reps):
-        cols = []
-        for j in range(chain_map_times_reps.ncols):
-            cols.append(total_h.cycle_to_homology(chain_map_times_reps.col(j)))
-        return Mat.from_columns(cols, nrows=total_h.polarized.rank)
-
-    sigma_mat = transport_total(sigma_edges * reps)
-    transfer_mat = transport_total(up_edges * base_reps)
-    push_cols = [base_h.cycle_to_homology((down_edges * reps).col(j)) for j in range(reps.ncols)]
-    push_mat = Mat.from_columns(push_cols, nrows=base_h.polarized.rank)
+    # Chain maps on the edge-space rows of the homology representatives.
+    reps = total_h.homology_to_edges().rows
+    base_reps = base_h.homology_to_edges().rows
+    sigma_mat = total_h.to_homology([reps[e * m + (s - 1) % m] for e in range(E) for s in range(m)])
+    push_mat = base_h.to_homology([tuple(map(sum, zip(*reps[e * m:e * m + m]))) for e in range(E)])
+    transfer_mat = total_h.to_homology([base_reps[e] for e in range(E) for _ in range(m)])
 
     lam_total = total_h.polarized.lattice
     lam_base = base_h.polarized.lattice
@@ -557,17 +541,15 @@ def cyclic_cover(R, voltages, m):
     checks["pushforward-transfer-m"] = push_mat * transfer_mat == Mat.identity(lam_base.ambient_dim) * m
     checks["transfer-pushforward-sum-sigma"] = transfer_mat * push_mat == sum_sigma
     checks["transfer-multiplies-form"] = transfer_mat.T * EN * transfer_mat == E0 * m
-    failures = [name for name, ok in checks.items() if not ok]
-    if failures:
-        raise CertificationError(f"cover certification failed: {failures}", failures)
-
     return CoverHomology(
-        R, voltages, m, cover, base_h, total_h, sigma, pushforward, transfer, checks
+        R, voltages, m, cover, base_h, total_h, sigma, pushforward, transfer,
+        certify("cover certification", checks),
     )
 
 
 def standard_cover(g, m):
     """The fixture cover: voltage 1 on a_1, zero elsewhere."""
+    _check_cover_size(m, 2 * g)
     R = surface_ribbon(g)
     volts = [0] * R.n_edges
     if m > 1:
@@ -612,6 +594,7 @@ def norm_component_group(cov):
     return group, component_index
 
 
+@_kept
 def eta_class(cov):
     """The m-torsion class of the base attached to the cover: ker pi^*.
 
@@ -620,8 +603,6 @@ def eta_class(cov):
     """
     if cov.m < 2:
         raise DomainError("eta is defined for covers of degree >= 2")
-    if "eta" in cov._cache:
-        return cov._cache["eta"]
     upper = preimage_lattice(cov.transfer.matrix, cov.total.lattice)
     Q = FiniteQuotient(cov.base.lattice, upper)
     if Q.order != cov.m or len(Q.invariants) != 1:
@@ -633,7 +614,6 @@ def eta_class(cov):
     eta = Q.element(W.col(gen_col))
     if eta.order() != cov.m:
         raise CertificationError("eta does not have order m", ["eta-order"])
-    cov._cache["eta"] = eta
     return eta
 
 
@@ -643,6 +623,7 @@ def _ker_mu_data(cov):
     return (*ker_mu_of_pair(pair, cov.m), orthogonal_projection(pair))
 
 
+@_kept
 def ker_mu_basis(cov):
     """Generators (xi_bar, P_1) of ker mu_B, certified to span (Z/m)^2.
 
@@ -650,9 +631,6 @@ def ker_mu_basis(cov):
     image in B-hat = span(B)/pr_B(Lambda).  P_1 is the generator of
     ker(Nm-bar) whose component index is 1.
     """
-    cache = cov._cache
-    if "ker_mu_basis" in cache:
-        return cache["ker_mu_basis"]
     if cov.m < 2:
         raise DomainError("ker mu basis needs a cover of degree >= 2")
     Q, p, pr_B = _ker_mu_data(cov)
@@ -666,7 +644,7 @@ def ker_mu_basis(cov):
     dualB = Q.lower
     WB = dualB.basis
     pushed = cov.pushforward.matrix * WB
-    c_lattice = preimage_lattice(pushed, cov.base.lattice, source_dim=WB.ncols)
+    c_lattice = preimage_lattice(pushed, cov.base.lattice)
     ker_nm_bar = FiniteQuotient(dualB, Lattice(dualB.ambient_dim, WB * c_lattice.basis))
     if ker_nm_bar.order != m or len(ker_nm_bar.invariants) != 1:
         raise CertificationError(
@@ -681,18 +659,14 @@ def ker_mu_basis(cov):
         raise CertificationError("generator has non-unit component index", ["p1-index"])
     P1 = Q.element((pow(c, -1, m) * gen).rep)
 
-    checks = {
+    checks = certify("ker mu basis certification", {
         "ker-mu-order": Q.order == m * m,
         "ker-mu-invariants": Q.invariants == (m, m) if m > 1 else True,
         "xi-order": xi_bar.order() == m,
         "p1-order": P1.order() == m,
         "generate": Q.subgroup([xi_bar, P1]).upper == Q.upper,
         "p1-in-ker-nmbar": ker_nm_bar.upper.contains_vector(P1.rep),
-    }
-    bad = [k for k, ok in checks.items() if not ok]
-    if bad:
-        raise CertificationError(f"ker mu basis certification failed: {bad}", bad)
-    cache["ker_mu_basis"] = (xi_bar, P1, checks)
+    })
     return xi_bar, P1, checks
 
 

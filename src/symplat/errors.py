@@ -2,7 +2,9 @@
 
 Three coarse classes matter to callers (and to the CLI exit codes):
 input/precondition problems, exhausted enumeration budgets, and failed
-certifications of identities that the constructions promise.
+certifications of identities that the constructions promise.  ``certify``
+is the one path by which a construction turns its ``{identity: bool}`` checks
+into a certificate or a CertificationError.
 """
 
 
@@ -31,3 +33,15 @@ class CertificationError(SymplatError):
     def __init__(self, message, failures=()):
         super().__init__(message)
         self.failures = tuple(failures)
+
+
+def certify(what, checks):
+    """Return ``checks``, a ``{identity: bool}`` dict, if every identity holds.
+
+    Otherwise raise CertificationError("<what> failed: [names]") naming the
+    failed identities in order.
+    """
+    failures = [name for name, ok in checks.items() if not ok]
+    if failures:
+        raise CertificationError(f"{what} failed: {failures}", failures)
+    return checks

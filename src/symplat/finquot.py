@@ -250,7 +250,7 @@ class PairingOnQuotient:
         return raw - (raw.numerator // raw.denominator)
 
     def is_nondegenerate(self):
-        rad = orthogonal_subgroup(self.quotient, self, ambient_quotient=self.quotient)
+        rad = orthogonal_subgroup(self.quotient, self)
         return rad.upper == self.quotient.lower
 
 
@@ -273,15 +273,14 @@ def is_isotropic(S, p):
     return all(Fraction(x).denominator == 1 for row in vals.rows for x in row)
 
 
-def orthogonal_subgroup(S, p, ambient_quotient=None):
-    """The orthogonal S^perp = {x in Q : p(x, S) = 0} as a subgroup of Q."""
-    Q = p.quotient if ambient_quotient is None else ambient_quotient
+def orthogonal_subgroup(S, p):
+    """The orthogonal S^perp = {x in Q : p(x, S) = 0} as a subgroup of Q = p.quotient."""
+    Q = p.quotient
     if S.lower != Q.lower:
         raise DomainError("subgroup does not share the quotient's lower lattice")
     C = Q.upper.basis.T * p.form * S.upper.basis
     d = C.denominator_lcm()
-    A = (C * d).T
-    K = congruence_kernel(Mat(A.rows, ncols=A.ncols), d)
+    K = congruence_kernel((C * d).T, d)
     perp = Lattice(Q.lower.ambient_dim, Q.upper.basis * K)
     # perp contains Q.lower: form(upper, lower) ⊆ Z makes lower coords solve
     # the congruence, so this is a genuine subgroup presentation.

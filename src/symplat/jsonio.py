@@ -13,7 +13,7 @@ from .covers import RibbonGraph, VoltageAssignment, cyclic_cover
 from .errors import DomainError
 from .lattice import Lattice
 from .matrix import Mat
-from .pollat import PolarizedLattice
+from .pollat import PolarizedLattice, polarization_type
 
 SCHEMA = "ppav-lattice/1"
 
@@ -147,8 +147,6 @@ def welters_report(out):
     Serializes the inputs (ambient lattice, B, K), each asserted identity
     with its pass/fail flag, and the polarization types at every stage.
     """
-    from .pollat import polarization_type
-
     pair = out.pair
     return {
         "schema": SCHEMA,

@@ -203,24 +203,20 @@ def congruence_kernel(A, d):
     return V * Mat.diagonal(scale)
 
 
-def preimage_lattice(M, target, source_dim=None):
+def preimage_lattice(M, target):
     """The lattice {x : M x in target} for an injective rational matrix M.
 
     The columns of M must land in the span of ``target``.
     """
-    source_dim = M.ncols if source_dim is None else source_dim
-    if M.ncols != source_dim:
-        raise DomainError("matrix shape disagrees with source dimension")
     if M.rank() != M.ncols:
         raise DomainError("preimage_lattice requires an injective matrix")
     W = target.coords_matrix(M)  # target-basis coordinates of M's columns
     d = W.denominator_lcm()
-    A = W * d
-    _, D, V = smith_normal_form(Mat(A.rows, ncols=A.ncols))
+    _, D, V = smith_normal_form(W * d)
     scale = []
-    for i in range(source_dim):
+    for i in range(M.ncols):
         di = D.rows[i][i] if i < D.nrows else 0
         if di == 0:
             raise DomainError("preimage_lattice requires an injective matrix")
         scale.append(Fraction(d, di))
-    return Lattice(source_dim, V * Mat.diagonal(scale))
+    return Lattice(M.ncols, V * Mat.diagonal(scale))

@@ -4,7 +4,8 @@ Everything in the package runs on this kernel: entries are Python ints or
 ``fractions.Fraction`` (never floats), vectors are columns, and maps act by
 left multiplication.  The Smith and Hermite normal forms follow fixed,
 deterministic pivot rules so that every census and fixture is reproducible
-bit for bit.
+bit for bit.  The Smith reduction works in one augmented array
+[[M, I], [I, 0]], so each elementary operation also builds U or V.
 
 Rational work runs on Python ints: a product scales each factor by the lcm of
 its denominators and divides once at the end, and ``rref``, ``rank``, ``det``,
@@ -355,54 +356,51 @@ def _require_integral(M, what):
 
 
 class _SnfState:
-    """Mutable workspace for the Smith reduction, tracking U and V."""
+    """Workspace for the Smith reduction: one array [[M, I_m], [I_n, 0]].
+
+    Row operations act on its first m rows and column operations on its first
+    n columns, so the array stays [[U*M*V, U], [V, 0]] and U, D, V are read off
+    its blocks.
+    """
 
     def __init__(self, M):
-        self.a = [list(row) for row in M.rows]
-        self.m, self.n = M.nrows, M.ncols
-        self.u = [[1 if i == j else 0 for j in range(self.m)] for i in range(self.m)]
-        self.v = [[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
+        m, n = self.m, self.n = M.nrows, M.ncols
+        self.w = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(M.rows)]
+        self.w += [[int(i == j) for j in range(n)] + [0] * m for i in range(n)]
 
     def swap_rows(self, i, j):
         if i != j:
-            self.a[i], self.a[j] = self.a[j], self.a[i]
-            self.u[i], self.u[j] = self.u[j], self.u[i]
+            self.w[i], self.w[j] = self.w[j], self.w[i]
 
     def swap_cols(self, i, j):
         if i != j:
-            for row in self.a:
-                row[i], row[j] = row[j], row[i]
-            for row in self.v:
+            for row in self.w:
                 row[i], row[j] = row[j], row[i]
 
     def add_row(self, dst, src, c):
-        self.a[dst] = [x + c * y for x, y in zip(self.a[dst], self.a[src])]
-        self.u[dst] = [x + c * y for x, y in zip(self.u[dst], self.u[src])]
+        self.w[dst] = [x + c * y for x, y in zip(self.w[dst], self.w[src])]
 
     def add_col(self, dst, src, c):
-        for row in self.a:
-            row[dst] += c * row[src]
-        for row in self.v:
+        for row in self.w:
             row[dst] += c * row[src]
 
     def negate_row(self, i):
-        self.a[i] = [-x for x in self.a[i]]
-        self.u[i] = [-x for x in self.u[i]]
+        self.w[i] = [-x for x in self.w[i]]
 
     def find_pivot(self, t):
         """Minimal |entry| != 0 in the active block, ties by lowest (row, col)."""
         best = None
         for i in range(t, self.m):
-            row = self.a[i]
+            row = self.w[i]
             for j in range(t, self.n):
                 x = row[j]
                 if x != 0 and (best is None or abs(x) < best[0]):
                     best = (abs(x), i, j)
         return best
 
-    def eliminate(self, start=0):
-        """Diagonalize from position ``start`` on; zero block ends up last."""
-        t = start
+    def eliminate(self):
+        """Diagonalize the M block; its zero block ends up last."""
+        t, w = 0, self.w
         while t < min(self.m, self.n):
             best = self.find_pivot(t)
             if best is None:
@@ -410,18 +408,18 @@ class _SnfState:
             _, pi, pj = best
             self.swap_rows(t, pi)
             self.swap_cols(t, pj)
-            if self.a[t][t] < 0:
+            if w[t][t] < 0:
                 self.negate_row(t)
-            p = self.a[t][t]
+            p = w[t][t]
             dirty = False
             for i in range(t + 1, self.m):
-                if self.a[i][t] != 0:
-                    self.add_row(i, t, -(self.a[i][t] // p))
-                    dirty = dirty or self.a[i][t] != 0
+                if w[i][t] != 0:
+                    self.add_row(i, t, -(w[i][t] // p))
+                    dirty = dirty or w[i][t] != 0
             for j in range(t + 1, self.n):
-                if self.a[t][j] != 0:
-                    self.add_col(j, t, -(self.a[t][j] // p))
-                    dirty = dirty or self.a[t][j] != 0
+                if w[t][j] != 0:
+                    self.add_col(j, t, -(w[t][j] // p))
+                    dirty = dirty or w[t][j] != 0
             if dirty:
                 # a remainder survived: re-select a (strictly smaller) pivot
                 continue
@@ -430,20 +428,14 @@ class _SnfState:
     def row_block(self, i, j, P):
         """Left-multiply rows (i, j) by the 2x2 block P."""
         (p00, p01), (p10, p11) = P
-        ri = [p00 * x + p01 * y for x, y in zip(self.a[i], self.a[j])]
-        rj = [p10 * x + p11 * y for x, y in zip(self.a[i], self.a[j])]
-        self.a[i], self.a[j] = ri, rj
-        ui = [p00 * x + p01 * y for x, y in zip(self.u[i], self.u[j])]
-        uj = [p10 * x + p11 * y for x, y in zip(self.u[i], self.u[j])]
-        self.u[i], self.u[j] = ui, uj
+        ri, rj = self.w[i], self.w[j]
+        self.w[i] = [p00 * x + p01 * y for x, y in zip(ri, rj)]
+        self.w[j] = [p10 * x + p11 * y for x, y in zip(ri, rj)]
 
     def col_block(self, i, j, Q):
         """Right-multiply columns (i, j) by the 2x2 block Q."""
         (q00, q01), (q10, q11) = Q
-        for row in self.a:
-            ci, cj = row[i], row[j]
-            row[i], row[j] = q00 * ci + q10 * cj, q01 * ci + q11 * cj
-        for row in self.v:
+        for row in self.w:
             ci, cj = row[i], row[j]
             row[i], row[j] = q00 * ci + q10 * cj, q01 * ci + q11 * cj
 
@@ -459,27 +451,28 @@ def smith_normal_form(M):
     _require_integral(M, "smith_normal_form")
     st = _SnfState(M)
     st.eliminate()
-    r = min(st.m, st.n)
+    m, n, w = st.m, st.n, st.w
     # Repair the divisibility chain with 2x2 gcd surgeries on adjacent pairs:
     # diag(a, b) -> diag(g, ab/g).  Each surgery strictly shrinks d_i, so the
     # sweep terminates; zeros are already trailing after eliminate().
     changed = True
     while changed:
         changed = False
-        for i in range(r - 1):
-            a, b = st.a[i][i], st.a[i + 1][i + 1]
+        for i in range(min(m, n) - 1):
+            a, b = w[i][i], w[i + 1][i + 1]
             if a == 0 or b % a == 0:
                 continue
             g, x, y = xgcd(a, b)
             st.row_block(i, i + 1, ((x, y), (-b // g, a // g)))
             st.col_block(i, i + 1, ((1, -(y * b) // g), (1, (x * a) // g)))
             changed = True
-    for i in range(r):
-        if st.a[i][i] < 0:
+    for i in range(min(m, n)):
+        if w[i][i] < 0:
             st.negate_row(i)
 
-    U, D, V = (Mat._trusted(tuple(map(tuple, a)), n)
-               for a, n in ((st.u, st.m), (st.a, st.n), (st.v, st.n)))
+    U = Mat._trusted(tuple(tuple(row[n:]) for row in w[:m]), m)
+    D = Mat._trusted(tuple(tuple(row[:n]) for row in w[:m]), n)
+    V = Mat._trusted(tuple(tuple(row[:n]) for row in w[m:]), n)
     # The transforms certify themselves; this is the kernel everything rests on.
     if U * M * V != D:
         raise CertificationError("Smith normal form transforms fail U*M*V = D", ["U*M*V = D"])

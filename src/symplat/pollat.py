@@ -176,10 +176,6 @@ def polarization_type(P):
     return t
 
 
-def is_principal(P):
-    return polarization_type(P).is_principal
-
-
 def dual_lattice(P):
     """The dual lattice {x in span : E(x, L) ⊆ Z}, containing the lattice."""
     if P.rank == 0:

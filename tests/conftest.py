@@ -14,7 +14,7 @@ import pytest
 from symplat.covers import standard_cover
 from symplat.errors import DomainError
 from symplat.finquot import enumerate_subgroups, is_maximal_isotropic
-from symplat.matrix import Mat, hermite_column_form, smith_normal_form
+from symplat.matrix import Mat, hermite_column_form, smith_normal_form, xgcd
 
 
 # -- cover fixtures shared across modules ------------------------------------
@@ -139,6 +139,143 @@ class OracleElement:
     def order(self):
         coords = self.Q.lower.coords_of(self.rep)
         return lcm(*(Fraction(c).denominator for c in coords)) if coords else 1
+
+
+# -- oracles: the Smith workspace and chain matrices before index rewrites ---
+
+class _OracleSnfState:
+    """The Smith workspace as three arrays, each operation written for a and u or v."""
+
+    def __init__(self, M):
+        self.a = [list(row) for row in M.rows]
+        self.m, self.n = M.nrows, M.ncols
+        self.u = [[1 if i == j else 0 for j in range(self.m)] for i in range(self.m)]
+        self.v = [[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
+
+    def swap_rows(self, i, j):
+        if i != j:
+            self.a[i], self.a[j] = self.a[j], self.a[i]
+            self.u[i], self.u[j] = self.u[j], self.u[i]
+
+    def swap_cols(self, i, j):
+        if i != j:
+            for row in self.a:
+                row[i], row[j] = row[j], row[i]
+            for row in self.v:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(self, dst, src, c):
+        self.a[dst] = [x + c * y for x, y in zip(self.a[dst], self.a[src])]
+        self.u[dst] = [x + c * y for x, y in zip(self.u[dst], self.u[src])]
+
+    def add_col(self, dst, src, c):
+        for row in self.a:
+            row[dst] += c * row[src]
+        for row in self.v:
+            row[dst] += c * row[src]
+
+    def negate_row(self, i):
+        self.a[i] = [-x for x in self.a[i]]
+        self.u[i] = [-x for x in self.u[i]]
+
+    def eliminate(self):
+        t = 0
+        while t < min(self.m, self.n):
+            best = None
+            for i in range(t, self.m):
+                for j in range(t, self.n):
+                    x = self.a[i][j]
+                    if x != 0 and (best is None or abs(x) < best[0]):
+                        best = (abs(x), i, j)
+            if best is None:
+                break
+            _, pi, pj = best
+            self.swap_rows(t, pi)
+            self.swap_cols(t, pj)
+            if self.a[t][t] < 0:
+                self.negate_row(t)
+            p = self.a[t][t]
+            dirty = False
+            for i in range(t + 1, self.m):
+                if self.a[i][t] != 0:
+                    self.add_row(i, t, -(self.a[i][t] // p))
+                    dirty = dirty or self.a[i][t] != 0
+            for j in range(t + 1, self.n):
+                if self.a[t][j] != 0:
+                    self.add_col(j, t, -(self.a[t][j] // p))
+                    dirty = dirty or self.a[t][j] != 0
+            if not dirty:
+                t += 1
+
+    def row_block(self, i, j, P):
+        (p00, p01), (p10, p11) = P
+        for x in (self.a, self.u):
+            ri, rj = x[i], x[j]
+            x[i] = [p00 * a + p01 * b for a, b in zip(ri, rj)]
+            x[j] = [p10 * a + p11 * b for a, b in zip(ri, rj)]
+
+    def col_block(self, i, j, Q):
+        (q00, q01), (q10, q11) = Q
+        for row in self.a + self.v:
+            ci, cj = row[i], row[j]
+            row[i], row[j] = q00 * ci + q10 * cj, q01 * ci + q11 * cj
+
+
+def snf_oracle(M):
+    """(U, D, V) by the Smith reduction that kept U and V in their own arrays."""
+    st = _OracleSnfState(M)
+    st.eliminate()
+    r = min(st.m, st.n)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(r - 1):
+            a, b = st.a[i][i], st.a[i + 1][i + 1]
+            if a == 0 or b % a == 0:
+                continue
+            g, x, y = xgcd(a, b)
+            st.row_block(i, i + 1, ((x, y), (-b // g, a // g)))
+            st.col_block(i, i + 1, ((1, -(y * b) // g), (1, (x * a) // g)))
+            changed = True
+    for i in range(r):
+        if st.a[i][i] < 0:
+            st.negate_row(i)
+    return tuple(Mat(a, ncols=n) for a, n in ((st.u, st.m), (st.a, st.n), (st.v, st.n)))
+
+
+def dense_chain_maps(cov):
+    """(sigma, pi_*, pi^*) on homology as ``cyclic_cover`` built them with dense matrices.
+
+    The 0/1 chain matrices on the edge spaces (edge (e, s) is e*m + s) multiply
+    the homology representatives, and each column is carried to homology
+    coordinates on its own.
+    """
+    m, E = cov.m, cov.base_graph.n_edges
+    total_h, base_h = cov._total_h, cov._base_h
+    n = E * m
+    sigma_edges = Mat.from_columns(
+        [[int(i == e * m + (s + 1) % m) for i in range(n)] for e in range(E) for s in range(m)],
+        nrows=n,
+    )
+    down_edges = Mat.from_columns(
+        [[int(i == e) for i in range(E)] for e in range(E) for _ in range(m)], nrows=E
+    )
+    up_edges = Mat.from_columns([[int(i // m == e) for i in range(n)] for e in range(E)], nrows=n)
+
+    def transport(h, chains):
+        cols = []
+        for vec in chains.columns():
+            coords = tuple(vec[f] for f in h.nontree)
+            assert h.fund_cycles.apply(coords) == vec
+            cols.append(h.proj.apply(coords))
+        return Mat.from_columns(cols, nrows=h.polarized.rank)
+
+    reps, base_reps = total_h.homology_to_edges(), base_h.homology_to_edges()
+    return (
+        transport(total_h, sigma_edges * reps),
+        transport(base_h, down_edges * reps),
+        transport(total_h, up_edges * base_reps),
+    )
 
 
 # -- oracle: Smith invariants via determinantal divisors ---------------------

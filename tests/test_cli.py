@@ -234,6 +234,32 @@ def test_welters_fixture_degree_is_bounded(tmp_path):
     assert time.monotonic() - start < 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["quotient", "--g", "1000", "--m", "2"],  # order 2^2000, far over the budget
+    ["quotient", "--g", "1000", "--m", "1"],  # order 1: only the genus bound applies
+    ["cover", "--g", "100000", "--m", "2"],
+])
+def test_guards_fire_before_the_set_up(argv):
+    start = time.monotonic()
+    code, text = run(argv)
+    assert code == EXIT_BUDGET, text
+    assert time.monotonic() - start < 1
+
+
+def test_welters_large_one_vertex_fixture_is_bounded(tmp_path):
+    # a genus-5000 one-vertex ribbon graph: 10,000 edges around one vertex
+    g = 5000
+    rotation = [d for i in range(g) for d in (4 * i, 4 * i + 2, 4 * i + 1, 4 * i + 3)]
+    obj = {"kind": "cover-fixture", "n_edges": 2 * g, "base_rotations": [rotation],
+           "m": 2, "g": g, "voltages": [1] + [0] * (2 * g - 1)}
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"fixture": obj}))
+    start = time.monotonic()
+    code, text = run(["welters", str(path), "--K", "1:0"])
+    assert code == EXIT_BUDGET, text
+    assert time.monotonic() - start < 1
+
+
 def test_welters_unknown_label(tmp_path):
     fixture = tmp_path / "cover.json"
     run(["cover", "--g", "2", "--m", "2", "--out", str(fixture)])

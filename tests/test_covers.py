@@ -1,8 +1,11 @@
 """Ribbon graphs, cyclic covers, and the cover-certification operations."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symplat.comppair import complement
 from symplat.covers import (
@@ -25,6 +28,8 @@ from symplat.finquot import FiniteQuotient, preimage_under_mult
 from symplat.lattice import Lattice, kernel_lattice, lattice_sum, saturate
 from symplat.matrix import Mat
 from symplat.pollat import polarization_type
+
+from conftest import dense_chain_maps
 
 
 ALL_COVERS = ["cover22", "cover23", "cover32", "cover24"]
@@ -312,3 +317,47 @@ def test_nonstandard_voltage_cover():
     assert cov.cover_genus == 1
     cov3 = cyclic_cover(surface_ribbon(2), VoltageAssignment(3, [2, 0, 1, 0]), 3)
     assert cov3.cover_genus == 4
+
+
+# -- chain maps on edge indices against the dense chain matrices -------------
+
+def subdivided_surface(g):
+    """``surface_ribbon(g)`` with a_1 split in two at a new vertex: 2 vertices.
+
+    Edge 0 now runs from the old vertex to the new one and edge 2g runs back,
+    so the loop a_1 is the path 0 then 2g.
+    """
+    rot = list(surface_ribbon(g).rotations[0])
+    rot[rot.index(1)] = 4 * g + 1  # a_1 now comes home along edge 2g
+    return RibbonGraph(2 * g + 1, [rot, [4 * g, 1]])
+
+
+@st.composite
+def voltage_covers(draw):
+    """(R, voltages, m): a connected cover of a one- or two-vertex genus g <= 3 graph, m <= 5."""
+    g, m = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    two_vertex = draw(st.booleans())
+    R = subdivided_surface(g) if two_vertex else surface_ribbon(g)
+    volts = [draw(st.integers(0, m - 1)) for _ in range(R.n_edges)]
+    # the loop voltages must generate Z/m; a_1 is edge 0, then edge 2g if subdivided
+    a_1 = volts[0] + (volts[2 * g] if two_vertex else 0)
+    if gcd(m, a_1, *volts[1:2 * g]) != 1:
+        volts[0] = (volts[0] + 1 - a_1) % m  # a_1 now has loop voltage 1
+    return R, volts, m
+
+
+def test_subdivided_surface_is_the_two_vertex_torus():
+    R = subdivided_surface(1)
+    assert (R.n_vertices, R.n_edges, R.genus()) == (2, 3, 1)
+    assert [subdivided_surface(g).genus() for g in (2, 3)] == [2, 3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(voltage_covers())
+def test_chain_maps_against_dense_matrices(cover):
+    R, volts, m = cover
+    cov = cyclic_cover(R, VoltageAssignment(m, volts), m)
+    sigma, push, transfer = dense_chain_maps(cov)
+    assert cov.sigma.matrix == sigma
+    assert cov.pushforward.matrix == push
+    assert cov.transfer.matrix == transfer

@@ -18,7 +18,7 @@ from symplat.matrix import (
     xgcd,
 )
 
-from conftest import fraction_det, fraction_rref, minor_gcd_invariants
+from conftest import fraction_det, fraction_rref, minor_gcd_invariants, snf_oracle
 
 
 def random_int_matrix(rng, nrows, ncols, bound=6):
@@ -78,9 +78,10 @@ def test_snf_properties_random(seed):
 
 
 def test_snf_certifies_its_transforms(monkeypatch):
-    # swap columns of the work matrix but not of V: U*M*V no longer equals D
+    # swap columns in the M block's rows of the workspace but not in the V
+    # block's: U*M*V no longer equals D
     def swap_cols_in_a_only(self, i, j):
-        for row in self.a:
+        for row in self.w[:self.m]:
             row[i], row[j] = row[j], row[i]
 
     monkeypatch.setattr(matrix._SnfState, "swap_cols", swap_cols_in_a_only)
@@ -334,3 +335,28 @@ def test_products_against_oracles(data):
         assert A.apply(vec) == P.col(0)
         assert all(type(x) is int or x.denominator != 1 for x in A.apply(vec))
 
+
+
+# -- the one-array Smith workspace against the three-array reduction --------
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices up to 8x8, 0-row and 0-column shapes included, often zero or low rank."""
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    if draw(st.integers(0, 5)) == 0:
+        return Mat.zero(m, n)
+    rows = [[draw(st.integers(-9, 9)) for _ in range(n)] for _ in range(m)]
+    if m >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(m)))[:2]
+        rows[j] = [draw(st.integers(-3, 3)) * x for x in rows[i]]
+    return Mat(rows, ncols=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_snf_against_three_array_oracle(M):
+    U, D, V = smith_normal_form(M)
+    oU, oD, oV = snf_oracle(M)
+    for got, want in ((U, oU), (D, oD), (V, oV)):
+        assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+        assert got.rows == want.rows
