@@ -27,7 +27,6 @@ from .finquot import (
     QuotientElement,
     enumerate_mti,
     enumerate_subgroups,
-    group_invariants,
     is_isotropic,
     is_maximal_isotropic,
     orthogonal_subgroup,

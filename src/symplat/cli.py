@@ -68,8 +68,8 @@ def build_parser():
     q.add_argument("--mode", choices=("one", "all"), default="all")
     q.add_argument(
         "--budget", type=int, default=DEFAULT_BUDGET,
-        help="exit 2 once the group order or the number of candidate subgroups "
-             "visited exceeds this (default: %(default)s)",
+        help="exit 2 once the group order, or the number of column placements "
+             "the subgroup search tries, exceeds this (default: %(default)s)",
     )
 
     c = sub.add_parser("cover", help="build and certify the standard cyclic cover")

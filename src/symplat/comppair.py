@@ -57,9 +57,6 @@ class ComplementaryPair:
         """The polarized lattice (sub, E|span(sub))."""
         return PolarizedLattice(sub, self.ambient.form)
 
-    def swapped(self):
-        return ComplementaryPair(self.ambient, self.sub_A, self.sub_B, self.intersection)
-
     def __repr__(self):
         return (
             f"ComplementaryPair(rank_A={self.sub_A.rank}, rank_B={self.sub_B.rank}, "

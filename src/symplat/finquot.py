@@ -9,7 +9,7 @@ coordinates of the L basis; elements are kept as their L-basis coordinates.
 
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import isqrt, lcm, prod
 
 from .errors import BudgetError, DomainError
 from .lattice import Lattice, congruence_kernel, lattice_sum
@@ -19,7 +19,6 @@ __all__ = [
     "FiniteQuotient",
     "QuotientElement",
     "PairingOnQuotient",
-    "group_invariants",
     "enumerate_subgroups",
     "enumerate_mti",
     "is_isotropic",
@@ -249,15 +248,6 @@ class PairingOnQuotient:
         raw = Fraction(sum(a * b for a, b in zip(xv, self.form.apply(yv))))
         return raw - (raw.numerator // raw.denominator)
 
-    def is_nondegenerate(self):
-        rad = orthogonal_subgroup(self.quotient, self)
-        return rad.upper == self.quotient.lower
-
-
-def group_invariants(Q):
-    """Elementary divisors > 1 of the quotient, ascending; product = order."""
-    return Q.invariants
-
 
 def preimage_under_mult(S, m):
     """The preimage of the subgroup S under multiplication by m on the torus."""
@@ -303,87 +293,81 @@ def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _intermediate_normal_forms(diag):
-    """All canonical lower-triangular bases H of lattices between diag(Z) and Z^k.
-
-    H has positive diagonal h_j | d_j, entries H[j][i] in [0, h_j) for i < j,
-    and diag(d) Z^k ⊆ H Z^k (checked by exact forward substitution).  Each
-    intermediate lattice has exactly one such H, yielded as a tuple of rows.
-    """
-    k = len(diag)
-    rows = [[0] * k for _ in range(k)]
-    # partial[t][j] = coefficient c_j in H c = d_t e_t, built row by row
-    partial = [[0] * k for _ in range(k)]
-
-    def recurse(j):
-        if j == k:
-            yield tuple(map(tuple, rows))
-            return
-        for h in _divisors(diag[j]):
-            for offs in product(*(range(h) for _ in range(j))):
-                ok = True
-                coeffs = []
-                for t in range(k):
-                    num = (diag[j] if t == j else 0) - sum(
-                        offs[i] * partial[t][i] for i in range(j)
-                    )
-                    if num % h != 0:
-                        ok = False
-                        break
-                    coeffs.append(num // h)
-                if not ok:
-                    continue
-                for i in range(j):
-                    rows[j][i] = offs[i]
-                for i in range(j + 1, k):
-                    rows[j][i] = 0
-                rows[j][j] = h
-                for t in range(k):
-                    partial[t][j] = coeffs[t]
-                yield from recurse(j + 1)
-        return
-
-    yield from recurse(0)
-
-
 def _enumerate(Q, budget, p=None):
     """Subgroups of Q in canonical order; given a pairing p, only the m.t.i. ones.
 
-    Candidates are the Hermite matrices H of ``_intermediate_normal_forms`` on
-    the d > 1 columns Wsub of Q's adapted basis; only kept ones are built.
-    BudgetError once |Q| or the number of candidates visited exceeds budget.
+    A subgroup is H Z^k / diag(d) Z^k on the d > 1 columns Wsub of Q's adapted
+    basis, for one lower-triangular Hermite matrix H: h_j | d_j on the
+    diagonal and H[r][j] in [0, h_r) below it.  Columns are placed from the
+    last to the first.  Columns j..k-1 span H Z^k ∩ <e_j, ..., e_{k-1}>, so a
+    placement is tested at once: d_j e_j must lie in their span (forward
+    substitution) and, given p, the new column must pair integrally with the
+    placed ones and prod(h) must stay able to reach its m.t.i. value (see
+    ``enumerate_mti``).  BudgetError once |Q| or the number of column
+    placements tried exceeds budget.
     """
     if Q.order > budget:
         raise BudgetError(f"group of order {Q.order} exceeds budget {budget}")
     W, diag = Q._adapted()
-    nontrivial = [i for i, d in enumerate(diag) if d > 1]
+    nontrivial = [i for i, d_i in enumerate(diag) if d_i > 1]
     Wsub = W.take_columns(nontrivial)
-    sub_diag = [diag[i] for i in nontrivial]
-    k, full = len(sub_diag), prod(sub_diag)
+    d = [diag[i] for i in nontrivial]
+    k = len(d)
     # the d = 1 columns lie in Q.lower and complete every generating set
-    trivial_cols = [W.col(i) for i, d in enumerate(diag) if d == 1]
+    trivial_cols = [W.col(i) for i, d_i in enumerate(diag) if d_i == 1]
     if p is not None:
-        target = Q.order * orthogonal_subgroup(Q, p).order
+        # prod(h) of every m.t.i. S, from |S|^2 = |Q| |R|; |Q| |R| is a square
+        # because Q/R carries a nondegenerate alternating pairing
+        goal = prod(d) // isqrt(Q.order * orthogonal_subgroup(Q, p).order)
+        head = [prod(d[:j]) for j in range(k)]
         G = Wsub.T * p.form * Wsub
         den = G.denominator_lcm()
         G = [[int(x * den) for x in row] for row in G.rows]
+        GH = [None] * k  # GH[i] = G times column i of H
+    H = [[0] * k for _ in range(k)]
     out = []
-    for count, h in enumerate(_intermediate_normal_forms(sub_diag), 1):
-        if count > budget:
-            raise BudgetError(f"more than {budget} candidate subgroups")
-        if p is not None:
-            order = full // prod(h[j][j] for j in range(k))
-            if order * order != target:
-                continue
-            # H is lower triangular: its column j starts at row j
-            GH = [[sum(G[a][b] * h[b][j] for b in range(j, k)) for j in range(k)]
-                  for a in range(k)]
-            if any(sum(h[a][i] * GH[a][j] for a in range(i, k)) % den
-                   for j in range(k) for i in range(j)):
-                continue
-        gens = (Wsub * Mat(h, ncols=k)).columns() + trivial_cols
-        M = Lattice.from_generators(Q.lower.ambient_dim, gens) if gens else Q.lower
-        out.append(FiniteQuotient(Q.lower, M))
+    tried = 0
+
+    def place(j, placed):
+        """Place column j, given prod(h_i, i > j) = placed."""
+        nonlocal tried
+        if j < 0:
+            gens = (Wsub * Mat(H, ncols=k)).columns() + trivial_cols
+            M = Lattice.from_generators(Q.lower.ambient_dim, gens) if gens else Q.lower
+            out.append(FiniteQuotient(Q.lower, M))
+            return
+        for h in _divisors(d[j]):
+            if p is not None:
+                # columns 0..j-1 must bring prod(h) up to goal: h_i | d_i for each
+                rest, rem = divmod(goal, placed * h)
+                if rem or head[j] % rest:
+                    continue
+            for below in product(*(range(H[r][r]) for r in range(j + 1, k))):
+                tried += 1
+                if tried > budget:
+                    raise BudgetError(f"more than {budget} candidate subgroups")
+                col = (0,) * j + (h,) + below
+                # d_j e_j - (d_j / h) col must be an integer combination of
+                # the placed columns: eliminate it row by row
+                v = [-(d[j] // h) * x for x in col]
+                for r in range(j + 1, k):
+                    if v[r] % H[r][r]:
+                        break
+                    c = v[r] // H[r][r]
+                    for s in range(r + 1, k):
+                        v[s] -= c * H[s][r]
+                else:
+                    if p is not None:
+                        # the entries (j, i) of H^T G H, over the placed columns i
+                        if any(sum(col[a] * GH[i][a] for a in range(j, k)) % den
+                               for i in range(j + 1, k)):
+                            continue
+                        GH[j] = [sum(G[a][b] * col[b] for b in range(j, k)) for a in range(k)]
+                    for r in range(j, k):
+                        H[r][j] = col[r]
+                    place(j - 1, placed * h)
+
+    place(k - 1, 1)
     out.sort(key=lambda S: (S.order, S.upper.basis.rows))
     return out
 

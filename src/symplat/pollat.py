@@ -79,11 +79,14 @@ class PolarizationType:
 
 
 class PolarizedLattice:
-    """A lattice of rank 2n with an integral nondegenerate alternating form."""
+    """A lattice of rank 2n with an integral nondegenerate alternating form.
+
+    ``_not_integral`` replaces the error raised when the form is not integral.
+    """
 
     __slots__ = ("lattice", "form", "_gram", "_type")
 
-    def __init__(self, lattice, form):
+    def __init__(self, lattice, form, _not_integral=None):
         if form.nrows != lattice.ambient_dim or not form.is_square():
             raise DomainError("form must be square of ambient dimension")
         if not form.is_alternating():
@@ -92,7 +95,7 @@ class PolarizedLattice:
             raise DomainError("polarized lattices have even rank")
         gram = lattice.basis.T * form * lattice.basis
         if not gram.is_integral():
-            raise DomainError("form is not integral on the lattice")
+            raise _not_integral or DomainError("form is not integral on the lattice")
         if lattice.rank > 0 and gram.det() == 0:
             raise DomainError("form is degenerate on the lattice span")
         object.__setattr__(self, "lattice", lattice)
@@ -131,10 +134,6 @@ class PolarizedLattice:
 
     def __repr__(self):
         return f"PolarizedLattice(dim={self.dim}, type={polarization_type(self).chain})"
-
-    def pairing_value(self, x, y):
-        fy = self.form.apply(tuple(y))
-        return Fraction(sum(a * b for a, b in zip(tuple(x), fy)))
 
 
 def symplectic_form(g, ambient_dim=None):
@@ -238,11 +237,10 @@ def quotient_by_isotropic(P, K, scale):
     """
     if K.lower != P.lattice:
         raise DomainError("subgroup is not presented over the polarized lattice")
-    form = P.form * Fraction(scale)
-    gram = K.upper.basis.T * form * K.upper.basis
-    if not gram.is_integral():
-        raise IsotropyError("subgroup is not isotropic at this scale")
-    return PolarizedLattice(K.upper, form)
+    return PolarizedLattice(
+        K.upper, P.form * Fraction(scale),
+        _not_integral=IsotropyError("subgroup is not isotropic at this scale"),
+    )
 
 
 def principal_quotient(P, K, m):
@@ -295,10 +293,6 @@ class LatticeMap:
 
     def apply(self, vec):
         return self.matrix.apply(vec)
-
-    def acts_as_scalar_on(self, lattice, c):
-        """Whether the map restricted to span(lattice) is multiplication by c."""
-        return self.matrix * lattice.basis == lattice.basis * Fraction(c)
 
     def __repr__(self):
         return f"LatticeMap({self.source.ambient_dim}->{self.target.ambient_dim})"

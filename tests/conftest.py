@@ -6,14 +6,20 @@ elements, and maximality of isotropic subgroups via exhaustive extension.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm, prod
 
 import pytest
 
 from symplat.covers import standard_cover
 from symplat.errors import DomainError
-from symplat.finquot import enumerate_subgroups, is_maximal_isotropic
+from symplat.finquot import (
+    FiniteQuotient,
+    enumerate_subgroups,
+    is_maximal_isotropic,
+    orthogonal_subgroup,
+)
+from symplat.lattice import Lattice
 from symplat.matrix import Mat, hermite_column_form, smith_normal_form, xgcd
 
 
@@ -399,6 +405,75 @@ def brute_force_mti(Q, p):
             out.append(S)
     assert all(S in iso_set for S in out)
     return set(out)
+
+
+# -- oracle: the subgroup generator before the column-by-column search -------
+
+def intermediate_normal_forms(diag):
+    """All canonical lower-triangular bases H of lattices between diag(Z) and Z^k.
+
+    H has positive diagonal h_j | d_j, entries H[j][i] in [0, h_j) for i < j,
+    and diag(d) Z^k ⊆ H Z^k (checked by exact forward substitution).  Each
+    intermediate lattice has exactly one such H, yielded as a tuple of rows.
+    Rows are filled top to bottom, and nothing is pruned before a whole H.
+    """
+    k = len(diag)
+    rows = [[0] * k for _ in range(k)]
+    # partial[t][j] = coefficient c_j in H c = d_t e_t, built row by row
+    partial = [[0] * k for _ in range(k)]
+
+    def recurse(j):
+        if j == k:
+            yield tuple(map(tuple, rows))
+            return
+        for h in (h for h in range(1, diag[j] + 1) if diag[j] % h == 0):
+            for offs in product(*(range(h) for _ in range(j))):
+                coeffs = []
+                for t in range(k):
+                    num = (diag[j] if t == j else 0) - sum(
+                        offs[i] * partial[t][i] for i in range(j)
+                    )
+                    if num % h != 0:
+                        break
+                    coeffs.append(num // h)
+                else:
+                    rows[j][:j], rows[j][j:] = offs, [h] + [0] * (k - j - 1)
+                    for t in range(k):
+                        partial[t][j] = coeffs[t]
+                    yield from recurse(j + 1)
+
+    yield from recurse(0)
+
+
+def generator_enumerate(Q, p=None):
+    """Subgroups of Q, or with a pairing p the m.t.i. ones, by generate-then-filter.
+
+    Every intermediate H of ``intermediate_normal_forms`` on the d > 1
+    columns of Q's adapted basis is visited; with p, one is kept iff
+    |S|^2 = |Q| |R| (R the radical) and H^T G H is integral, G the pairing
+    on those columns.  Same canonical order as the library.
+    """
+    W, diag = Q._adapted()
+    nontrivial = [i for i, d in enumerate(diag) if d > 1]
+    Wsub = W.take_columns(nontrivial)
+    sub_diag = [diag[i] for i in nontrivial]
+    k, full = len(sub_diag), prod(sub_diag)
+    trivial_cols = [W.col(i) for i, d in enumerate(diag) if d == 1]
+    if p is not None:
+        target = Q.order * orthogonal_subgroup(Q, p).order
+        G = Wsub.T * p.form * Wsub
+    out = []
+    for h in intermediate_normal_forms(sub_diag):
+        H = Mat(h, ncols=k)
+        if p is not None:
+            order = full // prod(h[j][j] for j in range(k))
+            if order * order != target or not (H.T * G * H).is_integral():
+                continue
+        gens = (Wsub * H).columns() + trivial_cols
+        M = Lattice.from_generators(Q.lower.ambient_dim, gens) if gens else Q.lower
+        out.append(FiniteQuotient(Q.lower, M))
+    out.sort(key=lambda S: (S.order, S.upper.basis.rows))
+    return out
 
 
 def filtered_mti(Q, p):

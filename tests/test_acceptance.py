@@ -25,7 +25,7 @@ from symplat.covers import (
     prym_sublattice,
     verify_kernel_identification,
 )
-from symplat.finquot import enumerate_mti, group_invariants
+from symplat.finquot import enumerate_mti
 from symplat.lattice import kernel_lattice
 from symplat.matrix import Mat
 from symplat.moduli import genus_bounds, locus_dimensions
@@ -99,6 +99,22 @@ def test_criterion_1_census_g3_m3():
     report(1, ok, f"(g=3,m=3): {len(quotients)} subgroups; {elapsed:.1f}s < 60s")
 
 
+def test_criterion_1_census_g4_m2():
+    """The (4,2) census at the default budget: 2295 = 3*5*9*17 subgroups of order 16."""
+    start = time.monotonic()
+    code, text = run(["quotient", "--g", "4", "--m", "2"])
+    elapsed = time.monotonic() - start
+    payload = json.loads(text) if code == EXIT_OK else {}
+    quotients = payload.get("quotients", [])
+    ok = (
+        code == EXIT_OK
+        and payload["count"] == len(quotients) == 2295
+        and all(q["K_order"] == "16" and q["principal"] for q in quotients)
+        and elapsed < 30
+    )
+    report(1, ok, f"(g=4,m=2): {len(quotients)} subgroups; {elapsed:.1f}s < 30s")
+
+
 def test_criterion_2_cover_suite(cover22, cover23, cover32, cover24):
     """Cyclic-cover invariants for (2,2), (2,3), (3,2), (2,4)."""
     start = time.monotonic()
@@ -126,7 +142,7 @@ def test_criterion_2_cover_suite(cover22, cover23, cover32, cover24):
         eta = eta_class(cov)
         eta_ok = eta.order() == m
         Q, _, _ = __import__("symplat.covers", fromlist=["_ker_mu_data"])._ker_mu_data(cov)
-        kermu_ok = group_invariants(Q) == (m, m)
+        kermu_ok = Q.invariants == (m, m)
         case_ok = all(
             [genus_ok, symplectic_ok, order_ok, proj_ok, sum_ok, pi0_ok, eta_ok, kermu_ok]
         )

@@ -124,7 +124,7 @@ def test_j_swap_identity(m):
     ambient = standard_principal(2)
     pair = complement(ambient, type_m_plane(m))
     j = j_endomorphism(pair, m)
-    j_swapped = j_endomorphism(pair.swapped(), m)
+    j_swapped = j_endomorphism(complement(ambient, pair.sub_A), m)
     assert j_swapped.matrix == Mat.identity(4) * (2 - m) - j.matrix
 
 

@@ -1,7 +1,7 @@
 """Finite quotients: invariants, elements, pairings, subgroup enumeration."""
 
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,7 +13,6 @@ from symplat.finquot import (
     PairingOnQuotient,
     enumerate_mti,
     enumerate_subgroups,
-    group_invariants,
     is_isotropic,
     is_maximal_isotropic,
     orthogonal_subgroup,
@@ -32,6 +31,7 @@ from conftest import (
     OracleElement,
     brute_force_mti,
     filtered_mti,
+    generator_enumerate,
     library_subgroup_as_set,
     quotient_as_table,
     snf_order,
@@ -47,19 +47,19 @@ def quot(lower_gens, upper=None, dim=2):
 
 def test_invariants_trivial():
     Q = FiniteQuotient(Z2, Z2)
-    assert group_invariants(Q) == ()
+    assert Q.invariants == ()
     assert Q.order == 1 and Q.is_trivial()
 
 
 def test_invariants_scaling():
     Q = FiniteQuotient(Z2.scaled(2), Z2)
-    assert group_invariants(Q) == (2, 2)
+    assert Q.invariants == (2, 2)
     assert Q.order == 4
 
 
 def test_invariants_mixed():
     Q = quot([(1, 1), (0, 6)])
-    assert group_invariants(Q) == (6,)
+    assert Q.invariants == (6,)
     assert Q.exponent == 6
 
 
@@ -171,13 +171,15 @@ def test_budget_error():
 
 
 def test_budget_bounds_candidates_visited():
-    # (Z/2)^4 has order 16 but 67 subgroups: the candidate count trips first
+    # (Z/2)^4 has order 16: the count of column placements tried trips first,
+    # 132 for its 67 subgroups and 59 for its 15 Lagrangians
     Q, p = torsion_subgroup(standard_principal(2), 2)
-    assert len(enumerate_subgroups(Q, budget=67)) == 67
+    assert len(enumerate_subgroups(Q, budget=132)) == 67
     with pytest.raises(BudgetError, match="candidate"):
-        enumerate_subgroups(Q, budget=66)
+        enumerate_subgroups(Q, budget=131)
+    assert len(enumerate_mti(Q, p, budget=59)) == 15
     with pytest.raises(BudgetError, match="candidate"):
-        enumerate_mti(Q, p, budget=66)
+        enumerate_mti(Q, p, budget=58)
 
 
 @pytest.mark.parametrize("g, m", [(1, 2), (1, 3), (2, 2), (1, 4), (2, 3)])
@@ -209,7 +211,7 @@ def _torsion_with_form(blocks, m):
 )
 def test_mti_matches_filter_oracle_degenerate(blocks, m):
     Q, p = _torsion_with_form(blocks, m)
-    assert not p.is_nondegenerate()
+    assert orthogonal_subgroup(Q, p).upper != Q.lower  # degenerate
     found = enumerate_mti(Q, p)
     assert found == filtered_mti(Q, p)
     if m == 2:  # the brute-force oracle takes tens of seconds at m = 3
@@ -281,7 +283,6 @@ def test_orthogonal_subgroup():
     assert perp.upper == cyc.upper  # self-orthogonal: maximal isotropic
     rad = orthogonal_subgroup(Q, p)
     assert rad.upper == Q.lower  # nondegenerate pairing
-    assert p.is_nondegenerate()
 
 
 def test_preimage_under_mult():
@@ -400,3 +401,90 @@ def test_element_outside_the_span_is_refused():
         Q.element((0, 1))
     with pytest.raises(DomainError, match="^representative does not lie in the upper lattice$"):
         OracleElement(Q, (0, 1))
+
+
+# -- the column-by-column search against the generate-then-filter oracle ----
+
+def _gaussian_binomial_total(n, q):
+    """Subgroups of (Z/q)^n, q prime: the sum over k of the Gaussian binomials [n k]_q.
+
+    Butler, Subgroup Lattices and Symmetric Functions, Mem. AMS 539 (1994).
+    """
+    return sum(
+        prod(q ** (n - i) - 1 for i in range(k)) // prod(q ** (i + 1) - 1 for i in range(k))
+        for k in range(n + 1)
+    )
+
+
+@pytest.mark.parametrize("n, q, count", [(4, 2, 67), (4, 3, 212), (6, 2, 2825)])
+def test_subgroup_counts_match_gaussian_binomials(n, q, count):
+    Zn = Lattice.standard(n)
+    Q = FiniteQuotient(Zn.scaled(q), Zn)
+    assert len(enumerate_subgroups(Q)) == _gaussian_binomial_total(n, q) == count
+
+
+@st.composite
+def diagonal_pairings(draw):
+    """Z^k / diag(d) Z^k, d_i in {2, 3, 4, 6, 8}, k <= 4, with a drawn alternating pairing.
+
+    F[i][j] = c_ij / gcd(d_i, d_j) for antisymmetric integers c is well defined
+    on the quotient.  |Q| <= 256 keeps the oracle's full generation cheap.
+    """
+    d = []
+    for _ in range(draw(st.integers(1, 4))):
+        fits = [x for x in (2, 3, 4, 6, 8) if prod(d) * x <= 256]
+        if not fits:
+            break
+        d.append(draw(st.sampled_from(fits)))
+    k = len(d)
+    F = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            F[i][j] = Fraction(draw(st.integers(-3, 3)), gcd(d[i], d[j]))
+            F[j][i] = -F[i][j]
+    Q = quot([tuple(x if i == j else 0 for i in range(k)) for j, x in enumerate(d)], dim=k)
+    return Q, PairingOnQuotient(Q, Mat(F, ncols=k))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=diagonal_pairings())
+def test_search_matches_generator_on_drawn_diagonals(case):
+    Q, p = case
+    assert enumerate_subgroups(Q) == generator_enumerate(Q)
+    assert enumerate_mti(Q, p) == generator_enumerate(Q, p)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("blocks", [(1, 0), (0, 0), (2, 1), (3, 1)])
+def test_search_matches_generator_on_degenerate_forms(blocks, m):
+    Q, p = _torsion_with_form(blocks, m)
+    assert enumerate_mti(Q, p) == generator_enumerate(Q, p)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    ops=st.lists(_elementary, min_size=1, max_size=8),
+    scales=st.tuples(*[st.sampled_from((1, 1, 2, 3))] * 4),
+    m=st.sampled_from((2, 3)),
+)
+def test_search_matches_generator_under_change_of_basis(ops, scales, m):
+    # (A Z^4, A^-T J A^-1) for A = (elementary operations) * diag(scales)
+    rows = [[scales[j] if i == j else 0 for j in range(4)] for i in range(4)]
+    for i, j, c in ops:
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    Ainv = Mat(rows).inverse()
+    Q, p = torsion_subgroup(
+        PolarizedLattice(Lattice(4, Mat(rows)), Ainv.T * symplectic_form(2) * Ainv), m
+    )
+    assert enumerate_subgroups(Q) == generator_enumerate(Q)
+    assert enumerate_mti(Q, p) == generator_enumerate(Q, p)
+
+
+@settings(max_examples=10, deadline=None)
+@given(Q0=nested_quotients())
+def test_trivial_quotient_has_one_subgroup(Q0):
+    Q = FiniteQuotient(Q0.lower, Q0.lower)
+    n = Q.lower.ambient_dim
+    p = PairingOnQuotient(Q, Mat.zero(n, n))
+    assert enumerate_subgroups(Q) == generator_enumerate(Q) == [Q]
+    assert enumerate_mti(Q, p) == generator_enumerate(Q, p) == [Q]
