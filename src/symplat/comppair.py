@@ -6,8 +6,8 @@ intersection A ∩ B = ker λ_A = ker λ_B, and the endomorphism j acting as 1
 on A and 1-m on B.  Choosing a maximal totally isotropic subgroup K of
 ker μ_B produces a principal lattice X = B̂/K together with maps u, u^t
 satisfying u∘u^t = [m] and u^t∘u = 1-j; those identities are certified
-exactly on every run.  A pair keeps pr_B, ker μ_B and j once computed, so a
-Welters census over every K of ker μ_B builds them once.
+exactly on every run.  A pair keeps its sides A and B, pr_B, ker μ_B and j
+once computed, so a Welters census over every K of ker μ_B builds them once.
 """
 
 from functools import wraps
@@ -20,7 +20,6 @@ from .pollat import (
     LatticeMap,
     PolarizedLattice,
     adjoint_map,
-    ker_lambda,
     ker_mu_pairing,
     polarization_type,
 )
@@ -38,24 +37,40 @@ __all__ = [
 ]
 
 
+def _kept(fn):
+    """Compute fn(obj, *args) once per object and arguments, kept in obj._cache."""
+    @wraps(fn)
+    def kept(obj, *args):
+        if (key := (fn.__name__, *args)) not in obj._cache:
+            obj._cache[key] = fn(obj, *args)
+        return obj._cache[key]
+    return kept
+
+
 class ComplementaryPair:
     """A pair (A, B) of orthogonal-complementary sublattices of a principal one."""
 
-    __slots__ = ("ambient", "sub_B", "sub_A", "intersection", "_cache")
+    __slots__ = ("ambient", "sub_B", "sub_A", "_cache")
 
-    def __init__(self, ambient, sub_B, sub_A, intersection):
+    def __init__(self, ambient, sub_B, sub_A):
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "sub_B", sub_B)
         object.__setattr__(self, "sub_A", sub_A)
-        object.__setattr__(self, "intersection", intersection)
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplementaryPair is immutable")
 
+    @_kept
     def restricted(self, sub):
         """The polarized lattice (sub, E|span(sub))."""
         return PolarizedLattice(sub, self.ambient.form)
+
+    @property
+    @_kept
+    def intersection(self):
+        """A ∩ B as the finite group Λ/(Λ_A ⊕ Λ_B)."""
+        return FiniteQuotient(lattice_sum(self.sub_A, self.sub_B), self.ambient.lattice)
 
     def __repr__(self):
         return (
@@ -83,16 +98,6 @@ class WeltersOutput:
         return f"WeltersOutput(dim X={self.X.dim}, m={self.m})"
 
 
-def _kept(fn):
-    """Compute fn(obj, *args) once per object and arguments, kept in obj._cache."""
-    @wraps(fn)
-    def kept(obj, *args):
-        if (key := (fn.__name__, *args)) not in obj._cache:
-            obj._cache[key] = fn(obj, *args)
-        return obj._cache[key]
-    return kept
-
-
 def complement(ambient, sub_B):
     """The complementary pair determined by B inside a principal lattice.
 
@@ -107,19 +112,18 @@ def complement(ambient, sub_B):
         raise DomainError("B is not a sublattice of the ambient lattice")
     if saturate(sub_B.basis.columns(), ambient.lattice) != sub_B:
         raise DomainError("B must be saturated in the ambient lattice")
-    gram_B = sub_B.basis.T * ambient.form * sub_B.basis
-    if sub_B.rank % 2 != 0 or (sub_B.rank > 0 and gram_B.det() == 0):
+    conditions = (ambient.form * sub_B.basis).T
+    pair = ComplementaryPair(ambient, sub_B, kernel_lattice(conditions, ambient.lattice))
+    try:
+        pair.restricted(sub_B)
+    except DomainError:
+        # the only refusals left: B has odd rank or the form degenerates on it
         raise DomainError(
             "the form degenerates on B: not (the lattice of) an abelian subvariety"
         )
-
-    conditions = (ambient.form * sub_B.basis).T
-    sub_A = kernel_lattice(conditions, ambient.lattice)
-    if sub_A.rank + sub_B.rank != ambient.rank:
+    if pair.sub_A.rank + sub_B.rank != ambient.rank:
         raise CertificationError("complement rank count failed", ["complement-rank"])
 
-    intersection = FiniteQuotient(lattice_sum(sub_A, sub_B), ambient.lattice)
-    pair = ComplementaryPair(ambient, sub_B, sub_A, intersection)
     orders = _pair_orders(pair)
     if len(set(orders.values())) != 1:
         raise CertificationError(
@@ -131,11 +135,11 @@ def complement(ambient, sub_B):
 
 @_kept
 def _pair_orders(pair):
-    """|A∩B|, |ker λ_A| and |ker λ_B| by name."""
+    """|A∩B|, |ker λ_A| and |ker λ_B| by name; |ker λ| = (d1 ⋯ dn)^2."""
     return {
         "A∩B": pair.intersection.order,
-        "ker λ_A": ker_lambda(pair.restricted(pair.sub_A))[0].order if pair.sub_A.rank else 1,
-        "ker λ_B": ker_lambda(pair.restricted(pair.sub_B))[0].order if pair.sub_B.rank else 1,
+        "ker λ_A": polarization_type(pair.restricted(pair.sub_A)).degree ** 2,
+        "ker λ_B": polarization_type(pair.restricted(pair.sub_B)).degree ** 2,
     }
 
 

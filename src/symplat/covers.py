@@ -568,6 +568,7 @@ def prym_sublattice(cov):
     return sub_A, sub_B
 
 
+@_kept
 def norm_component_group(cov):
     """pi_0 of the kernel of the norm map, with the component index.
 
@@ -674,8 +675,10 @@ def classify_mti_K(cov):
     """Labeled maximal totally isotropic subgroups <a xi_bar + b P_1>.
 
     Returns a list of ((a, b), K) over canonical labels with gcd(a, b, m) = 1,
-    one per distinct subgroup, each certified maximal totally isotropic.  For
-    prime m the list is exactly the m + 1 subgroups of ker mu_B and is
+    one per distinct subgroup, each certified maximal totally isotropic.  As
+    (xi_bar, P_1) is a basis of (Z/m)^2, labels of one cyclic subgroup of
+    (Z/m)^2 give one K, lifted once under its lexicographically first label.
+    For prime m the list is exactly the m + 1 subgroups of ker mu_B and is
     cross-checked against the exhaustive enumeration.
     """
     Q, p, _ = _ker_mu_data(cov)
@@ -685,19 +688,19 @@ def classify_mti_K(cov):
     seen = set()
     for a in range(m):
         for b in range(m):
-            if gcd(gcd(a, b), m) != 1:
+            if gcd(a, b, m) != 1:
                 continue
+            cyclic = frozenset(((k * a) % m, (k * b) % m) for k in range(m))
+            if cyclic in seen:
+                continue
+            seen.add(cyclic)
             K = Q.subgroup([a * xi_bar + b * P1])
-            if K.upper in seen:
-                continue
-            seen.add(K.upper)
             if not is_maximal_isotropic(K, p):
                 raise CertificationError(
                     f"<{a} xi + {b} P1> failed the m.t.i. certification",
                     ["classify-mti"],
                 )
             out.append(((a, b), K))
-    out.sort(key=lambda t: t[0])
     if _is_prime(m):
         expected = enumerate_mti(Q, p)
         if sorted(K.upper.basis.rows for _, K in out) != sorted(

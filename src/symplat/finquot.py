@@ -303,7 +303,8 @@ def _enumerate(Q, budget, p=None):
     placement is tested at once: d_j e_j must lie in their span (forward
     substitution) and, given p, the new column must pair integrally with the
     placed ones and prod(h) must stay able to reach its m.t.i. value (see
-    ``enumerate_mti``).  BudgetError once |Q| or the number of column
+    ``enumerate_mti``).  Each subgroup is given its order prod(d) / prod(h),
+    so no det is taken.  BudgetError once |Q| or the number of column
     placements tried exceeds budget.
     """
     if Q.order > budget:
@@ -334,7 +335,9 @@ def _enumerate(Q, budget, p=None):
         if j < 0:
             gens = (Wsub * Mat(H, ncols=k)).columns() + trivial_cols
             M = Lattice.from_generators(Q.lower.ambient_dim, gens) if gens else Q.lower
-            out.append(FiniteQuotient(Q.lower, M))
+            S = FiniteQuotient(Q.lower, M)
+            object.__setattr__(S, "_order", prod(d) // placed)
+            out.append(S)
             return
         for h in _divisors(d[j]):
             if p is not None:

@@ -67,13 +67,21 @@ def lattice_to_obj(L):
     }
 
 
+def _dim_and_basis(obj):
+    """(ambient_dim, basis matrix) of a lattice object; ambient_dim an int >= 0."""
+    dim = obj["ambient_dim"]
+    if type(dim) is not int or dim < 0:
+        raise DomainError("ambient_dim must be an int >= 0")
+    cols = [[frac_from_str(x) for x in col] for col in obj["basis"]]
+    return dim, Mat.from_columns(cols, nrows=dim)
+
+
 def lattice_from_obj(obj):
     try:
-        dim = obj["ambient_dim"]
-        cols = [[frac_from_str(x) for x in col] for col in obj["basis"]]
-    except (KeyError, TypeError):
+        dim, basis = _dim_and_basis(obj)
+    except (LookupError, TypeError):
         raise DomainError("malformed lattice object")
-    return Lattice(dim, Mat.from_columns(cols, nrows=dim))
+    return Lattice(dim, basis)
 
 
 def polarized_to_obj(P):
@@ -86,12 +94,11 @@ def polarized_to_obj(P):
 
 def polarized_from_obj(obj):
     try:
-        dim = obj["ambient_dim"]
-        cols = [[frac_from_str(x) for x in col] for col in obj["basis"]]
+        dim, basis = _dim_and_basis(obj)
         form = Mat([[frac_from_str(x) for x in row] for row in obj["form"]], ncols=dim)
-    except (KeyError, TypeError):
+    except (LookupError, TypeError):
         raise DomainError("malformed polarized lattice object")
-    return PolarizedLattice(Lattice(dim, Mat.from_columns(cols, nrows=dim)), form)
+    return PolarizedLattice(Lattice(dim, basis), form)
 
 
 def cover_to_obj(cov):
@@ -160,17 +167,8 @@ def welters_report(out):
         "identities": {name: bool(ok) for name, ok in out.certificate.items()},
         "types": {
             "ambient": [str(d) for d in polarization_type(pair.ambient)],
-            "restricted_to_B": [
-                str(d) for d in polarization_type(pair.restricted(pair.sub_B))
-            ],
-            "restricted_to_A": [
-                str(d)
-                for d in (
-                    polarization_type(pair.restricted(pair.sub_A))
-                    if pair.sub_A.rank
-                    else ()
-                )
-            ],
+            "restricted_to_B": [str(d) for d in polarization_type(pair.restricted(pair.sub_B))],
+            "restricted_to_A": [str(d) for d in polarization_type(pair.restricted(pair.sub_A))],
             "X": [str(d) for d in polarization_type(out.X)],
         },
         "orders": {

@@ -81,6 +81,8 @@ class PolarizationType:
 class PolarizedLattice:
     """A lattice of rank 2n with an integral nondegenerate alternating form.
 
+    One Smith form of the Gram matrix decides the rest: its diagonal is
+    (d1, d1, d2, d2, ...) for the type (d1, d2, ...), ending in 0 when degenerate.
     ``_not_integral`` replaces the error raised when the form is not integral.
     """
 
@@ -96,12 +98,18 @@ class PolarizedLattice:
         gram = lattice.basis.T * form * lattice.basis
         if not gram.is_integral():
             raise _not_integral or DomainError("form is not integral on the lattice")
-        if lattice.rank > 0 and gram.det() == 0:
+        _, D, _ = smith_normal_form(gram)
+        diag = [D.rows[i][i] for i in range(lattice.rank)]
+        if diag and diag[-1] == 0:
             raise DomainError("form is degenerate on the lattice span")
+        if diag[0::2] != diag[1::2]:
+            raise CertificationError(
+                "alternating Gram invariants failed to pair up", ["snf-pairing"]
+            )
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "_gram", gram)
-        object.__setattr__(self, "_type", None)
+        object.__setattr__(self, "_type", PolarizationType(diag[0::2]))
 
     def __setattr__(self, name, value):
         raise AttributeError("PolarizedLattice is immutable")
@@ -154,31 +162,12 @@ def standard_principal(g):
 
 
 def polarization_type(P):
-    """The type (d1 | ... | dn) of the polarization, from the Gram matrix.
-
-    The Smith invariants of an integral nondegenerate alternating matrix come
-    in equal pairs (d1, d1, d2, d2, ...); the type is one entry per pair.
-    """
-    if P._type is not None:
-        return P._type
-    if P.rank == 0:
-        t = PolarizationType(())
-    else:
-        _, D, _ = smith_normal_form(P.gram())
-        diag = [D.rows[i][i] for i in range(P.rank)]
-        if any(diag[2 * i] != diag[2 * i + 1] for i in range(P.rank // 2)):
-            raise CertificationError(
-                "alternating Gram invariants failed to pair up", ["snf-pairing"]
-            )
-        t = PolarizationType(diag[0::2])
-    object.__setattr__(P, "_type", t)
-    return t
+    """The type (d1 | ... | dn) of the polarization, read off its Gram matrix."""
+    return P._type
 
 
 def dual_lattice(P):
     """The dual lattice {x in span : E(x, L) ⊆ Z}, containing the lattice."""
-    if P.rank == 0:
-        return P.lattice
     return Lattice(P.ambient_dim, P.lattice.basis * P.gram().inverse())
 
 
@@ -197,12 +186,11 @@ def torsion_subgroup(P, m):
 
 
 def _check_divides(P, m):
-    dual = dual_lattice(P)
-    if not P.lattice.contains_lattice(dual.scaled(m)):
-        raise DomainError(
-            f"polarization type {polarization_type(P).chain} does not divide m={m}"
-        )
-    return dual
+    """The dual lattice, once every d_i divides m (so m * dual ⊆ lattice)."""
+    t = polarization_type(P)
+    if any(m % d for d in t):
+        raise DomainError(f"polarization type {t.chain} does not divide m={m}")
+    return dual_lattice(P)
 
 
 def dual_polarization(P, m):

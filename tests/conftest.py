@@ -11,7 +11,8 @@ from math import gcd, lcm, prod
 
 import pytest
 
-from symplat.covers import standard_cover
+from symplat.comppair import ker_mu_of_pair
+from symplat.covers import ker_mu_basis, standard_cover
 from symplat.errors import DomainError
 from symplat.finquot import (
     FiniteQuotient,
@@ -308,6 +309,30 @@ def minor_gcd_invariants(M):
         out.append(g // prev)
         prev = g
     return tuple(out)
+
+
+# -- oracle: the label loop that lifts every coprime label ------------------
+
+def classify_by_lifting_every_label(cov):
+    """((a, b), K) for the labels of ker mu_B, deduplicated after lifting.
+
+    Lifts <a xi_bar + b P_1> to a lattice for every (a, b) with
+    gcd(a, b, m) = 1 and keeps the first label of each lattice, in the order
+    of the loop; it compares lattices, not subgroups of (Z/m)^2.
+    """
+    Q, _ = ker_mu_of_pair(cov.pair(), cov.m)
+    xi_bar, P1, _ = ker_mu_basis(cov)
+    m = cov.m
+    out, seen = [], set()
+    for a in range(m):
+        for b in range(m):
+            if gcd(gcd(a, b), m) != 1:
+                continue
+            K = Q.subgroup([a * xi_bar + b * P1])
+            if K.upper not in seen:
+                seen.add(K.upper)
+                out.append(((a, b), K))
+    return out
 
 
 # -- oracle: finite abelian group as explicit element tuples -----------------

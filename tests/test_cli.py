@@ -150,11 +150,18 @@ def _edit_base_rotations(obj):
         lambda obj: obj.pop("g"),
         lambda obj: obj.pop("sigma"),
         lambda obj: obj.pop("total"),
+        lambda obj: obj.update(total={"ambient_dim": "x", "basis": [], "form": []}),
+        lambda obj: obj.update(base={"ambient_dim": "x", "basis": [], "form": []}),
+        lambda obj: obj["total"].update(ambient_dim=True),
+        lambda obj: obj["base"].update(ambient_dim=-1),
+        lambda obj: obj["total"]["basis"][1].pop(),
     ],
     ids=[
         "m-float", "m-bool", "n_edges-huge", "n_edges-float", "voltage-float",
         "voltage-too-big", "voltage-negative", "dart-float", "g-str", "g-null",
         "g-negative", "g-wrong", "g-bool", "g-missing", "sigma-missing", "total-missing",
+        "total-dim-str", "base-dim-str", "total-dim-bool", "base-dim-negative",
+        "total-basis-ragged",
     ],
 )
 def test_welters_malformed_fixture_numbers(tmp_path, fixture22, edit):

@@ -81,6 +81,38 @@ def test_complement_rejects_degenerate():
         complement(ambient, lagrangian)
 
 
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [(1, 0, 0, 0)],
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)],
+        [(1, 0, 0, 0), (0, 1, 0, 0)],
+    ],
+    ids=["rank-1", "rank-3", "lagrangian"],
+)
+def test_complement_refuses_odd_rank_and_degenerate_B(gens):
+    message = r"^the form degenerates on B: not \(the lattice of\) an abelian subvariety$"
+    with pytest.raises(DomainError, match=message):
+        complement(standard_principal(2), Lattice.from_generators(4, gens))
+
+
+def test_each_side_is_built_once(monkeypatch):
+    built = []
+
+    def counting(sub, form):
+        built.append(sub)
+        return PolarizedLattice(sub, form)
+
+    monkeypatch.setattr(comppair, "PolarizedLattice", counting)
+    pair = complement(standard_principal(2), type_m_plane(2))
+    K = enumerate_mti(*ker_mu_of_pair(pair, 2))[0]
+    welters_report(welters_construct(pair, K, 2))
+    assert pair.restricted(pair.sub_B) is pair.restricted(pair.sub_B)
+    assert pair.restricted(pair.sub_A) is pair.restricted(pair.sub_A)
+    # B, then A, then the Welters quotient X; ker μ_B and the report reuse B and A
+    assert built == [pair.sub_B, pair.sub_A, K.upper]
+
+
 def test_complement_requires_principal():
     P = PolarizedLattice(Lattice.standard(2), symplectic_form(1) * 2)
     with pytest.raises(DomainError):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symplat.comppair import complement
+from symplat.comppair import _pair_orders, complement
 from symplat.covers import (
     RibbonGraph,
     VoltageAssignment,
@@ -27,9 +27,9 @@ from symplat.errors import DomainError
 from symplat.finquot import FiniteQuotient, preimage_under_mult
 from symplat.lattice import Lattice, kernel_lattice, lattice_sum, saturate
 from symplat.matrix import Mat
-from symplat.pollat import polarization_type
+from symplat.pollat import ker_lambda, polarization_type
 
-from conftest import dense_chain_maps
+from conftest import classify_by_lifting_every_label, dense_chain_maps
 
 
 ALL_COVERS = ["cover22", "cover23", "cover32", "cover24"]
@@ -333,10 +333,15 @@ def subdivided_surface(g):
 
 
 @st.composite
-def voltage_covers(draw):
-    """(R, voltages, m): a connected cover of a one- or two-vertex genus g <= 3 graph, m <= 5."""
-    g, m = draw(st.integers(1, 3)), draw(st.integers(1, 5))
-    two_vertex = draw(st.booleans())
+def voltage_covers(draw, genera=st.integers(1, 3), degrees=st.integers(1, 5),
+                   two_vertices=st.booleans()):
+    """(R, voltages, m): a connected cover of a one- or two-vertex genus-g graph.
+
+    g, m and the choice of graph are drawn from the given strategies: by
+    default g <= 3, m <= 5 and either graph.
+    """
+    g, m = draw(genera), draw(degrees)
+    two_vertex = draw(two_vertices)
     R = subdivided_surface(g) if two_vertex else surface_ribbon(g)
     volts = [draw(st.integers(0, m - 1)) for _ in range(R.n_edges)]
     # the loop voltages must generate Z/m; a_1 is edge 0, then edge 2g if subdivided
@@ -361,3 +366,49 @@ def test_chain_maps_against_dense_matrices(cover):
     assert cov.sigma.matrix == sigma
     assert cov.pushforward.matrix == push
     assert cov.transfer.matrix == transfer
+
+
+# -- each side of the Prym pair, and each label, computed once ---------------
+
+@settings(max_examples=20, deadline=None)
+@given(voltage_covers())
+def test_pair_orders_against_dual_lattices(cover):
+    R, volts, m = cover
+    pair = cyclic_cover(R, VoltageAssignment(m, volts), m).pair()
+    orders = _pair_orders(pair)
+    assert orders["ker λ_A"] == ker_lambda(pair.restricted(pair.sub_A))[0].order
+    assert orders["ker λ_B"] == ker_lambda(pair.restricted(pair.sub_B))[0].order
+    assert orders["A∩B"] == orders["ker λ_B"]
+
+
+def _psi(m):
+    """Dedekind's psi: m times the product of (1 + 1/p) over the primes p | m."""
+    out = m
+    for p in range(2, m + 1):
+        if m % p == 0 and all(p % q for q in range(2, p)):
+            out = out * (p + 1) // p
+    return out
+
+
+def _assert_classified_as_by_lifting(cov):
+    found = classify_mti_K(cov)
+    expected = classify_by_lifting_every_label(cov)
+    assert [label for label, _ in found] == [label for label, _ in expected]
+    assert [K.upper for _, K in found] == [K.upper for _, K in expected]
+    assert len(found) == _psi(cov.m)
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 9])
+def test_classification_matches_lifting_every_label(m):
+    _assert_classified_as_by_lifting(standard_cover(2, m))
+
+
+@settings(max_examples=8, deadline=None)
+@given(voltage_covers(st.just(2), st.sampled_from((4, 6, 8, 9)), st.just(False)))
+def test_classification_matches_lifting_every_label_on_drawn_voltages(cover):
+    R, volts, m = cover
+    _assert_classified_as_by_lifting(cyclic_cover(R, VoltageAssignment(m, volts), m))
+
+
+def test_norm_component_group_is_kept(cover23):
+    assert norm_component_group(cover23) is norm_component_group(cover23)

@@ -454,6 +454,14 @@ def test_search_matches_generator_on_drawn_diagonals(case):
     assert enumerate_mti(Q, p) == generator_enumerate(Q, p)
 
 
+@settings(max_examples=30, deadline=None)
+@given(case=diagonal_pairings())
+def test_search_orders_are_the_determinants(case):
+    Q, p = case
+    for S in enumerate_subgroups(Q) + enumerate_mti(Q, p):
+        assert S.order == abs(S._coords.det())
+
+
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("blocks", [(1, 0), (0, 0), (2, 1), (3, 1)])
 def test_search_matches_generator_on_degenerate_forms(blocks, m):

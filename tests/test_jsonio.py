@@ -77,3 +77,11 @@ def test_dumps_canonical_stable():
     assert dumps_canonical(payload) == dumps_canonical(payload)
     assert dumps_canonical(payload).endswith("\n")
     assert dumps_canonical({"a": 1, "b": 2}) == dumps_canonical({"b": 2, "a": 1})
+
+
+def test_ambient_dim_must_be_a_nonnegative_int():
+    for dim in ("x", True, -1, 2.0, None):
+        for decode in (lattice_from_obj, polarized_from_obj):
+            with pytest.raises(DomainError):
+                decode({"ambient_dim": dim, "basis": [], "form": []})
+    assert lattice_from_obj({"ambient_dim": 0, "basis": []}) == Lattice.standard(0)

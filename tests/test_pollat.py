@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from symplat.errors import CertificationError, DomainError, IsotropyError
 from symplat.finquot import enumerate_mti, orthogonal_subgroup
@@ -26,6 +28,8 @@ from symplat.pollat import (
     symplectic_form,
     torsion_subgroup,
 )
+
+from conftest import minor_gcd_invariants
 
 
 def type_1m_rank4(m):
@@ -258,3 +262,43 @@ def test_rank_zero_polarized():
     assert polarization_type(P).chain == ()
     assert polarization_type(P).is_principal
     assert dual_lattice(P).rank == 0
+
+
+# -- the type, nondegeneracy and pairing from one Smith form -----------------
+
+@st.composite
+def scaled_forms(draw, degenerate=False):
+    """(A, J_d): an invertible integral A, g <= 3, and J_g with its blocks scaled by d.
+
+    (A Z^2g, J_d) has Gram matrix B^T J_d B for a basis B = A U of the lattice.
+    With ``degenerate`` one block is scaled by 0.
+    """
+    g = draw(st.integers(1, 3))
+    d = [draw(st.sampled_from((1, 1, 2, 3, 4, 6))) for _ in range(g)]
+    if degenerate:
+        d[draw(st.integers(0, g - 1))] = 0
+    n = 2 * g
+    J = [[0] * n for _ in range(n)]
+    for i, d_i in enumerate(d):
+        J[i][g + i], J[g + i][i] = d_i, -d_i
+    A = Mat([[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)], ncols=n)
+    assume(A.det() != 0)
+    return A, Mat(J, ncols=n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scaled_forms())
+def test_type_is_the_paired_determinantal_invariants(case):
+    A, J = case
+    P = PolarizedLattice(Lattice(A.nrows, A), J)
+    invariants = minor_gcd_invariants(A.T * J * A)
+    assert invariants[0::2] == invariants[1::2]
+    assert polarization_type(P).chain == invariants[0::2]
+
+
+@settings(max_examples=20, deadline=None)
+@given(scaled_forms(degenerate=True))
+def test_drawn_degenerate_form_is_refused(case):
+    A, J = case
+    with pytest.raises(DomainError, match="^form is degenerate on the lattice span$"):
+        PolarizedLattice(Lattice(A.nrows, A), J)
