@@ -20,7 +20,8 @@ predicate -- are all certified here by exact lattice computations rather
 than assumed.
 """
 
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
 from .comppair import _kept, complement, ker_mu_of_pair, orthogonal_projection
 from .errors import BudgetError, CertificationError, DomainError, certify
@@ -57,7 +58,7 @@ __all__ = [
     "verify_kernel_identification",
 ]
 
-MAX_COVER_EDGES = 128  # edges of a derived graph; (g, m) = (2, 32) builds in about 1 s
+MAX_COVER_EDGES = 128  # edges of a derived graph; (g, m) = (4, 16) builds in about 1 s, (2, 32) in 0.4 s
 MAX_CENSUS_GENUS = 32  # genus of a quotient census; the g = 32, m = 1 census takes about 0.3 s
 
 
@@ -526,11 +527,7 @@ def cyclic_cover(R, voltages, m):
     transfer = LatticeMap(transfer_mat, lam_base, lam_total)
 
     EN, E0 = total_h.polarized.form, base_h.polarized.form
-    power = sigma_mat
-    sum_sigma = Mat.identity(lam_total.ambient_dim)
-    for _ in range(m - 1):
-        sum_sigma = sum_sigma + power
-        power = power * sigma_mat
+    power, sum_sigma = _power_and_sum(sigma_mat, m)
     checks = {
         "cover-genus": genus_ok,
         "sigma-symplectic": sigma_mat.T * EN * sigma_mat == EN,
@@ -545,6 +542,18 @@ def cyclic_cover(R, voltages, m):
         R, voltages, m, cover, base_h, total_h, sigma, pushforward, transfer,
         certify("cover certification", checks),
     )
+
+
+def _power_and_sum(M, m):
+    """(M^m, sum of M^i over 0 <= i < m) for m >= 1, by doubling along the bits of m."""
+    power, total = M, Mat.identity(M.nrows)  # M^k and sum_{i<k} M^i, for k = 1
+    for bit in bin(m)[3:]:
+        total = total + power * total  # k -> 2k
+        power = power * power
+        if bit == "1":  # k -> k + 1
+            total = total + power
+            power = power * M
+    return power, total
 
 
 def standard_cover(g, m):
@@ -604,7 +613,7 @@ def eta_class(cov):
     """
     if cov.m < 2:
         raise DomainError("eta is defined for covers of degree >= 2")
-    upper = preimage_lattice(cov.transfer.matrix, cov.total.lattice)
+    upper = _transfer_preimage(cov, cov.total.lattice)
     Q = FiniteQuotient(cov.base.lattice, upper)
     if Q.order != cov.m or len(Q.invariants) != 1:
         raise CertificationError(
@@ -724,14 +733,32 @@ def _is_prime(n):
     return True
 
 
+def _order_modulo(K, x):
+    """The order of x modulo K: the lcm of the denominators of its K.upper coordinates."""
+    return lcm(*(Fraction(a).denominator for a in K._coords.apply(x.c)))
+
+
 def birational_predicate(K, p1):
     """True iff l * P_1 lies outside K for every l = 1, ..., m-1.
 
     This is the exact condition for the curve map into B-hat/K to be
-    birational onto its image.
+    birational onto its image; it says that P_1 has order m modulo K.
     """
-    m = p1.order()
-    return not any(ell * p1 in K for ell in range(1, m))
+    return _order_modulo(K, p1) == p1.order()
+
+
+@_kept
+def _transfer_preimage(cov, upper):
+    """The lattice {x : pi^* x in upper} of the base, once per cover and lattice."""
+    return preimage_lattice(cov.transfer.matrix, upper)
+
+
+@_kept
+def _eta_preimage(cov):
+    """The upper lattice of [m]^{-1}<eta> over the base lattice."""
+    lam0 = cov.base.lattice
+    eta_lattice = Lattice.from_generators(lam0.ambient_dim, [eta_class(cov).rep])
+    return lattice_sum(lam0, eta_lattice).scaled(Fraction(1, cov.m))
 
 
 def verify_kernel_identification(cov, K):
@@ -746,7 +773,7 @@ def verify_kernel_identification(cov, K):
     * [m]^{-1}(Nm-bar(K)) equals the kernel of JN_0 -> B-hat/(K + ker Nm-bar):
       preimages under the composite saturate K by ker(Nm-bar) = <P_1>, so D
       equals [m]^{-1}(Nm-bar(K)) exactly when P_1 in K, and sits inside it
-      with index m otherwise (the birational case);
+      with index [K + <P_1> : K] otherwise (m in the birational case);
     * for prime m and birational K, Nm-bar(K) = <eta>, so
       [m]^{-1}(Nm-bar(K)) = [m]^{-1}<eta>, of order m^(2g) * m.
 
@@ -754,36 +781,35 @@ def verify_kernel_identification(cov, K):
     [m]^{-1}(Nm-bar(K)).  A failure of any identity raises no exception but
     returns ok = False (test failure, not recoverable).
     """
-    m = cov.m
-    g = cov.g
+    m, g = cov.m, cov.g
     lam0 = cov.base.lattice
     _, P1, _ = ker_mu_basis(cov)
     Q, _, _ = _ker_mu_data(cov)
 
-    direct = FiniteQuotient(lam0, preimage_lattice(cov.transfer.matrix, K.upper))
+    direct = FiniteQuotient(lam0, _transfer_preimage(cov, K.upper))
 
     pushedK = Lattice(lam0.ambient_dim, cov.pushforward.matrix * K.upper.basis)
     nm_of_K = FiniteQuotient(lam0, lattice_sum(lam0, pushedK))
     via_norm = preimage_under_mult(nm_of_K, m)
 
-    # K + <P_1> inside ker mu_B, and the direct kernel of the saturated quotient
-    K_sat = Q.subgroup(K.upper.basis.columns() + [P1])
-    saturated = FiniteQuotient(lam0, preimage_lattice(cov.transfer.matrix, K_sat.upper))
+    # K + <P_1> has index idx over K; it is lifted only strictly between K and ker mu_B
+    idx = _order_modulo(K, P1)
+    if idx == 1:
+        sat_upper = K.upper
+    elif K.order * idx == Q.order:
+        sat_upper = Q.upper
+    else:
+        sat_upper = Q.subgroup(K.upper.basis.columns() + [P1]).upper
+    saturated = _transfer_preimage(cov, sat_upper)
 
     ok = (
         direct.order == m ** (2 * g)
-        and via_norm.upper == saturated.upper
+        and via_norm.upper == saturated
         and via_norm.upper.contains_lattice(direct.upper)
-        and via_norm.order == direct.order * (K_sat.order // K.order)
+        and via_norm.order == direct.order * idx
     )
-    if ok and P1 in K:
+    if ok and idx == 1:
         ok = via_norm.upper == direct.upper
-    if ok and _is_prime(m) and birational_predicate(K, P1):
-        eta = eta_class(cov)
-        eta_group = FiniteQuotient(
-            lam0,
-            lattice_sum(lam0, Lattice.from_generators(lam0.ambient_dim, [eta.rep])),
-        )
-        ok = via_norm.upper == preimage_under_mult(eta_group, m).upper
-        ok = ok and via_norm.order == m ** (2 * g) * m
+    if ok and idx == m and _is_prime(m):
+        ok = via_norm.upper == _eta_preimage(cov) and via_norm.order == m ** (2 * g) * m
     return ok, via_norm.order

@@ -110,9 +110,6 @@ class FiniteQuotient:
     def element(self, vector):
         return QuotientElement(self, vector)
 
-    def zero(self):
-        return QuotientElement(self, (0,) * self.lower.ambient_dim)
-
     def elements(self, budget=DEFAULT_BUDGET):
         """All elements, in a deterministic order."""
         if self.order > budget:
@@ -222,21 +219,23 @@ class PairingOnQuotient:
     """A Q/Z-valued pairing on a FiniteQuotient, given by an alternating form.
 
     Well-definedness requires form(upper, lower) ⊆ Z, which makes the value
-    on representatives independent of the chosen lifts.
+    on representatives independent of the chosen lifts.  The product
+    upper^T * form that this check forms is kept for ``orthogonal_subgroup``.
     """
 
-    __slots__ = ("quotient", "form")
+    __slots__ = ("quotient", "form", "_upper_form")
 
     def __init__(self, quotient, form):
         if form.nrows != quotient.lower.ambient_dim or not form.is_square():
             raise DomainError("pairing form has the wrong shape")
         if not form.is_alternating():
             raise DomainError("pairing form must be alternating")
-        check = quotient.upper.basis.T * form * quotient.lower.basis
-        if not check.is_integral():
+        upper_form = quotient.upper.basis.T * form
+        if not (upper_form * quotient.lower.basis).is_integral():
             raise DomainError("pairing is not well-defined: form(upper, lower) not integral")
         object.__setattr__(self, "quotient", quotient)
         object.__setattr__(self, "form", form)
+        object.__setattr__(self, "_upper_form", upper_form)
 
     def __setattr__(self, name, value):
         raise AttributeError("PairingOnQuotient is immutable")
@@ -268,7 +267,7 @@ def orthogonal_subgroup(S, p):
     Q = p.quotient
     if S.lower != Q.lower:
         raise DomainError("subgroup does not share the quotient's lower lattice")
-    C = Q.upper.basis.T * p.form * S.upper.basis
+    C = p._upper_form * S.upper.basis
     d = C.denominator_lcm()
     K = congruence_kernel((C * d).T, d)
     perp = Lattice(Q.lower.ambient_dim, Q.upper.basis * K)

@@ -141,10 +141,14 @@ def cover_from_obj(obj):
     ]:
         if mat_from_obj(obj.get(key)) != matrix:
             raise DomainError(f"fixture matrix {key!r} disagrees with the rebuilt cover")
-    if polarized_from_obj(obj.get("total")) != cov.total:
-        raise DomainError("fixture total lattice disagrees with the rebuilt cover")
-    if polarized_from_obj(obj.get("base")) != cov.base:
-        raise DomainError("fixture base lattice disagrees with the rebuilt cover")
+    for key, polarized in [("total", cov.total), ("base", cov.base)]:
+        part = obj.get(key)
+        # refused before decoding, which builds one row per ambient dimension
+        if isinstance(part, dict) and part.get("ambient_dim") != polarized.ambient_dim:
+            raise DomainError(f"fixture {key!r} has ambient_dim {part.get('ambient_dim')!r}, "
+                              f"not the rebuilt cover's {polarized.ambient_dim}")
+        if polarized_from_obj(part) != polarized:
+            raise DomainError(f"fixture {key} lattice disagrees with the rebuilt cover")
     return cov
 
 

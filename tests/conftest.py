@@ -12,15 +12,16 @@ from math import gcd, lcm, prod
 import pytest
 
 from symplat.comppair import ker_mu_of_pair
-from symplat.covers import ker_mu_basis, standard_cover
+from symplat.covers import eta_class, ker_mu_basis, standard_cover
 from symplat.errors import DomainError
 from symplat.finquot import (
     FiniteQuotient,
     enumerate_subgroups,
     is_maximal_isotropic,
     orthogonal_subgroup,
+    preimage_under_mult,
 )
-from symplat.lattice import Lattice
+from symplat.lattice import Lattice, congruence_kernel, lattice_sum, preimage_lattice
 from symplat.matrix import Mat, hermite_column_form, smith_normal_form, xgcd
 
 
@@ -333,6 +334,72 @@ def classify_by_lifting_every_label(cov):
                 seen.add(K.upper)
                 out.append(((a, b), K))
     return out
+
+
+# -- oracles: ker mu_B questions answered with lattices ----------------------
+
+def birational_by_membership(K, P1):
+    """Whether l * P_1 lies outside K for every l = 1, ..., m-1: m - 1 membership tests."""
+    m = P1.order()
+    return not any(ell * P1 in K for ell in range(1, m))
+
+
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, n))
+
+
+def kernel_identification_by_lattices(cov, K):
+    """(ok, identified_order) as ``verify_kernel_identification`` computed it before.
+
+    K + <P_1> is lifted for every K, its index over K is a quotient of two
+    orders, each transfer preimage and [m]^{-1}<eta> are built on every call,
+    and the birational branch asks ``birational_by_membership``.
+    """
+    m, g = cov.m, cov.g
+    lam0 = cov.base.lattice
+    _, P1, _ = ker_mu_basis(cov)
+    Q, _ = ker_mu_of_pair(cov.pair(), m)
+
+    direct = FiniteQuotient(lam0, preimage_lattice(cov.transfer.matrix, K.upper))
+    pushedK = Lattice(lam0.ambient_dim, cov.pushforward.matrix * K.upper.basis)
+    via_norm = preimage_under_mult(FiniteQuotient(lam0, lattice_sum(lam0, pushedK)), m)
+    K_sat = Q.subgroup(K.upper.basis.columns() + [P1])
+    saturated = FiniteQuotient(lam0, preimage_lattice(cov.transfer.matrix, K_sat.upper))
+
+    ok = (
+        direct.order == m ** (2 * g)
+        and via_norm.upper == saturated.upper
+        and via_norm.upper.contains_lattice(direct.upper)
+        and via_norm.order == direct.order * (K_sat.order // K.order)
+    )
+    if ok and P1 in K:
+        ok = via_norm.upper == direct.upper
+    if ok and _is_prime(m) and birational_by_membership(K, P1):
+        eta_group = FiniteQuotient(
+            lam0,
+            lattice_sum(lam0, Lattice.from_generators(lam0.ambient_dim, [eta_class(cov).rep])),
+        )
+        ok = via_norm.upper == preimage_under_mult(eta_group, m).upper
+        ok = ok and via_norm.order == m ** (2 * g) * m
+    return ok, via_norm.order
+
+
+def orthogonal_by_triple_product(S, p):
+    """S^perp in p.quotient, forming upper^T * form * S.upper on every call."""
+    Q = p.quotient
+    C = Q.upper.basis.T * p.form * S.upper.basis
+    d = C.denominator_lcm()
+    K = congruence_kernel((C * d).T, d)
+    return FiniteQuotient(Q.lower, Lattice(Q.lower.ambient_dim, Q.upper.basis * K))
+
+
+def power_and_sum_by_steps(M, m):
+    """(M^m, sum of M^i over i < m) by m - 1 products and m - 1 sums."""
+    power, total = M, Mat.identity(M.nrows)
+    for _ in range(m - 1):
+        total = total + power
+        power = power * M
+    return power, total
 
 
 # -- oracle: finite abelian group as explicit element tuples -----------------

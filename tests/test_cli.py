@@ -174,6 +174,20 @@ def test_welters_malformed_fixture_numbers(tmp_path, fixture22, edit):
     assert text.startswith("invalid input:")
 
 
+@pytest.mark.parametrize("key", ["total", "base"])
+def test_welters_fixture_ambient_dim_is_refused_before_decoding(tmp_path, fixture22, key):
+    # decoding would build one row per ambient dimension
+    obj = json.loads(json.dumps(fixture22))
+    obj[key] = {"ambient_dim": 10**9, "basis": [], "form": []}
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"fixture": obj}))
+    start = time.monotonic()
+    code, text = run(["welters", str(path), "--K", "1:0"])
+    assert code == EXIT_VALIDATION, text
+    assert f"fixture {key!r} has ambient_dim" in text
+    assert time.monotonic() - start < 1
+
+
 def test_cover_identities_come_from_the_checks(monkeypatch):
     cov = standard_cover(2, 2)
     assert set(cov.certificate) == {name for _, name in cli._COVER_IDENTITIES} | {
@@ -192,16 +206,18 @@ def test_cover_identities_come_from_the_checks(monkeypatch):
 
 
 def test_cover_under_python_O_matches_in_process():
-    # the certification checks are explicit raises, so they also run under -O
-    argv = ["cover", "--g", "2", "--m", "3"]
+    # the certification checks are explicit raises, so they also run under -O;
+    # m = 4 also certifies the labels whose K + <P_1> lies strictly inside ker mu
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "symplat.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120, check=False,
-    )
-    assert proc.returncode == EXIT_OK, proc.stderr
-    assert proc.stdout == run(argv)[1]
+    for m in ("3", "4"):
+        argv = ["cover", "--g", "2", "--m", m]
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "symplat.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120, check=False,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == run(argv)[1]
 
 
 def test_welters_under_python_O_matches_in_process(tmp_path):

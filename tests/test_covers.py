@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symplat.comppair import _pair_orders, complement
+from symplat.comppair import _pair_orders, complement, ker_mu_of_pair
 from symplat.covers import (
     RibbonGraph,
     VoltageAssignment,
+    _eta_preimage,
+    _order_modulo,
+    _power_and_sum,
+    _transfer_preimage,
     birational_predicate,
     classify_mti_K,
     cyclic_cover,
@@ -29,7 +33,13 @@ from symplat.lattice import Lattice, kernel_lattice, lattice_sum, saturate
 from symplat.matrix import Mat
 from symplat.pollat import ker_lambda, polarization_type
 
-from conftest import classify_by_lifting_every_label, dense_chain_maps
+from conftest import (
+    birational_by_membership,
+    classify_by_lifting_every_label,
+    dense_chain_maps,
+    kernel_identification_by_lattices,
+    power_and_sum_by_steps,
+)
 
 
 ALL_COVERS = ["cover22", "cover23", "cover32", "cover24"]
@@ -412,3 +422,64 @@ def test_classification_matches_lifting_every_label_on_drawn_voltages(cover):
 
 def test_norm_component_group_is_kept(cover23):
     assert norm_component_group(cover23) is norm_component_group(cover23)
+
+
+# -- kernel identification from the order of P_1 modulo K --------------------
+
+def _assert_identified_as_by_lattices(cov):
+    _, P1, _ = ker_mu_basis(cov)
+    for label, K in classify_mti_K(cov):
+        expected = kernel_identification_by_lattices(cov, K)
+        assert verify_kernel_identification(cov, K) == expected, label
+        assert birational_predicate(K, P1) == birational_by_membership(K, P1), label
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 8, 9])
+def test_kernel_identification_matches_the_lattice_oracle(m):
+    _assert_identified_as_by_lattices(standard_cover(2, m))
+
+
+@settings(max_examples=8, deadline=None)
+@given(voltage_covers(st.just(2), st.sampled_from((4, 6, 8, 9)), st.just(False)))
+def test_kernel_identification_matches_the_lattice_oracle_on_drawn_voltages(cover):
+    R, volts, m = cover
+    _assert_identified_as_by_lattices(cyclic_cover(R, VoltageAssignment(m, volts), m))
+
+
+def test_k_plus_p1_is_lifted_only_strictly_between_k_and_ker_mu(monkeypatch):
+    # at m = 4, <2 xi + P_1> contains 2 P_1 but not P_1: K + <P_1> has order 8 of 16
+    cov = standard_cover(2, 4)
+    Q, _ = ker_mu_of_pair(cov.pair(), 4)
+    _, P1, _ = ker_mu_basis(cov)
+    labeled = classify_mti_K(cov)
+    K = dict(labeled)[(2, 1)]
+    assert _order_modulo(K, P1) == 2 and K.order * 2 < Q.order
+    expected = {label: kernel_identification_by_lattices(cov, K) for label, K in labeled}
+    lifted = []
+    subgroup = FiniteQuotient.subgroup
+
+    def counting(self, elements):
+        lifted.append(self)
+        return subgroup(self, elements)
+
+    monkeypatch.setattr(FiniteQuotient, "subgroup", counting)
+    for label, K in labeled:
+        before = len(lifted)
+        assert verify_kernel_identification(cov, K) == expected[label], label
+        assert len(lifted) - before == (label == (2, 1)), label
+    assert lifted == [Q] and expected[(2, 1)] == (True, 4 ** 4 * 2)
+
+
+def test_transfer_preimages_are_kept(cover23):
+    K = classify_mti_K(cover23)[0][1]
+    assert _transfer_preimage(cover23, K.upper) is _transfer_preimage(cover23, K.upper)
+    assert _eta_preimage(cover23) is _eta_preimage(cover23)
+
+
+@settings(max_examples=20, deadline=None)
+@given(voltage_covers(st.integers(1, 2), st.integers(1, 9)))
+def test_sigma_powers_by_doubling_match_the_steps(cover):
+    R, volts, m = cover
+    sigma = cyclic_cover(R, VoltageAssignment(m, volts), m).sigma.matrix
+    for k in range(1, 12):
+        assert _power_and_sum(sigma, k) == power_and_sum_by_steps(sigma, k), k

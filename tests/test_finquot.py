@@ -33,6 +33,7 @@ from conftest import (
     filtered_mti,
     generator_enumerate,
     library_subgroup_as_set,
+    orthogonal_by_triple_product,
     quotient_as_table,
     snf_order,
 )
@@ -460,6 +461,15 @@ def test_search_orders_are_the_determinants(case):
     Q, p = case
     for S in enumerate_subgroups(Q) + enumerate_mti(Q, p):
         assert S.order == abs(S._coords.det())
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=diagonal_pairings())
+def test_orthogonal_subgroup_matches_the_triple_product(case):
+    # the pairing keeps upper^T * form; the oracle forms the triple product anew
+    Q, p = case
+    for S in enumerate_subgroups(Q)[:40] + enumerate_mti(Q, p):
+        assert orthogonal_subgroup(S, p) == orthogonal_by_triple_product(S, p)
 
 
 @pytest.mark.parametrize("m", [2, 3])
