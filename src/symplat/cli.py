@@ -23,6 +23,8 @@ from .covers import (
     classify_mti_K,
     eta_class,
     ker_mu_basis,
+    lift_mti_label,
+    mti_labels,
     norm_component_group,
     standard_cover,
     verify_kernel_identification,
@@ -182,21 +184,18 @@ def cmd_welters(fixture_path, K_label="1:0"):
     try:
         with open(fixture_path) as fh:
             payload = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise DomainError(f"cannot read fixture: {exc}")
     obj = payload.get("fixture", payload) if isinstance(payload, dict) else None
     if obj is None:
         raise DomainError("fixture file does not contain an object")
     cov = cover_from_obj(obj)
     label = _parse_label(K_label, cov.m)
-    labeled = dict(classify_mti_K(cov))
-    if label not in labeled:
-        raise DomainError(
-            f"no subgroup labeled {label}; available: {sorted(labeled)}"
-        )
-    K = labeled[label]
-    out = welters_construct(cov.pair(), K, cov.m)
     _, P1, _ = ker_mu_basis(cov)
+    if label not in (labels := mti_labels(cov.m)):
+        raise DomainError(f"no subgroup labeled {label}; available: {labels}")
+    K = lift_mti_label(cov, *label)
+    out = welters_construct(cov.pair(), K, cov.m)
     return {
         "schema": SCHEMA,
         "command": "welters",
@@ -260,8 +259,11 @@ def run(argv=None):
             payload = cmd_dims(args.g, args.m, args.r)
         text = dumps_canonical(payload) if args.format == "json" else _render_text(payload)
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(dumps_canonical(payload))
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(dumps_canonical(payload))
+            except OSError as exc:
+                raise DomainError(f"cannot write output: {exc}")
         return EXIT_OK, text
     except BudgetError as exc:
         return EXIT_BUDGET, f"budget error: {exc}\n"

@@ -53,6 +53,8 @@ __all__ = [
     "norm_component_group",
     "eta_class",
     "ker_mu_basis",
+    "mti_labels",
+    "lift_mti_label",
     "classify_mti_K",
     "birational_predicate",
     "verify_kernel_identification",
@@ -613,24 +615,21 @@ def eta_class(cov):
     """
     if cov.m < 2:
         raise DomainError("eta is defined for covers of degree >= 2")
-    upper = _transfer_preimage(cov, cov.total.lattice)
-    Q = FiniteQuotient(cov.base.lattice, upper)
-    if Q.order != cov.m or len(Q.invariants) != 1:
-        raise CertificationError(
-            f"ker pi^* is {Q!r}, not cyclic of order {cov.m}", ["ker-transfer-cyclic"]
-        )
-    W, diag = Q._adapted()
-    gen_col = next(i for i, d in enumerate(diag) if d == cov.m)
-    eta = Q.element(W.col(gen_col))
+    Q = FiniteQuotient(cov.base.lattice, _transfer_preimage(cov, cov.total.lattice))
+    eta = _cyclic_generator(
+        Q, cov.m, "ker pi^* is {Q!r}, not cyclic of order {m}", "ker-transfer-cyclic"
+    )
     if eta.order() != cov.m:
         raise CertificationError("eta does not have order m", ["eta-order"])
     return eta
 
 
-def _ker_mu_data(cov):
-    """(ker mu_B quotient, pairing, pr_B) for B = the transfer image, kept on cov.pair()."""
-    pair = cov.pair()
-    return (*ker_mu_of_pair(pair, cov.m), orthogonal_projection(pair))
+def _cyclic_generator(Q, m, message, failure):
+    """A generator of Q, certified cyclic of order m; else fails with message.format(Q=Q, m=m)."""
+    if Q.order != m or len(Q.invariants) != 1:
+        raise CertificationError(message.format(Q=Q, m=m), [failure])
+    W, diag = Q._adapted()
+    return Q.element(W.col(diag.index(m)))
 
 
 @_kept
@@ -643,8 +642,9 @@ def ker_mu_basis(cov):
     """
     if cov.m < 2:
         raise DomainError("ker mu basis needs a cover of degree >= 2")
-    Q, p, pr_B = _ker_mu_data(cov)
     m = cov.m
+    Q, _ = ker_mu_of_pair(cov.pair(), m)
+    pr_B = orthogonal_projection(cov.pair())
 
     eta = eta_class(cov)
     xi = cov.pushforward.matrix.solve(Mat.column(eta.rep)).column_vector()
@@ -656,12 +656,9 @@ def ker_mu_basis(cov):
     pushed = cov.pushforward.matrix * WB
     c_lattice = preimage_lattice(pushed, cov.base.lattice)
     ker_nm_bar = FiniteQuotient(dualB, Lattice(dualB.ambient_dim, WB * c_lattice.basis))
-    if ker_nm_bar.order != m or len(ker_nm_bar.invariants) != 1:
-        raise CertificationError(
-            f"ker Nm-bar is {ker_nm_bar!r}, not cyclic of order m", ["ker-nmbar-cyclic"]
-        )
-    W, diag = ker_nm_bar._adapted()
-    gen = ker_nm_bar.element(W.col(next(i for i, d in enumerate(diag) if d == m)))
+    gen = _cyclic_generator(
+        ker_nm_bar, m, "ker Nm-bar is {Q!r}, not cyclic of order m", "ker-nmbar-cyclic"
+    )
 
     _, component_index = norm_component_group(cov)
     c = component_index(gen.rep)
@@ -680,41 +677,42 @@ def ker_mu_basis(cov):
     return xi_bar, P1, checks
 
 
-def classify_mti_K(cov):
-    """Labeled maximal totally isotropic subgroups <a xi_bar + b P_1>.
-
-    Returns a list of ((a, b), K) over canonical labels with gcd(a, b, m) = 1,
-    one per distinct subgroup, each certified maximal totally isotropic.  As
-    (xi_bar, P_1) is a basis of (Z/m)^2, labels of one cyclic subgroup of
-    (Z/m)^2 give one K, lifted once under its lexicographically first label.
-    For prime m the list is exactly the m + 1 subgroups of ker mu_B and is
-    cross-checked against the exhaustive enumeration.
-    """
-    Q, p, _ = _ker_mu_data(cov)
-    xi_bar, P1, _ = ker_mu_basis(cov)
-    m = cov.m
-    out = []
-    seen = set()
+def mti_labels(m):
+    """The first (a, b), gcd(a, b, m) = 1, of each cyclic subgroup of order m of (Z/m)^2."""
+    out, seen = [], set()
     for a in range(m):
         for b in range(m):
             if gcd(a, b, m) != 1:
                 continue
             cyclic = frozenset(((k * a) % m, (k * b) % m) for k in range(m))
-            if cyclic in seen:
-                continue
-            seen.add(cyclic)
-            K = Q.subgroup([a * xi_bar + b * P1])
-            if not is_maximal_isotropic(K, p):
-                raise CertificationError(
-                    f"<{a} xi + {b} P1> failed the m.t.i. certification",
-                    ["classify-mti"],
-                )
-            out.append(((a, b), K))
-    if _is_prime(m):
-        expected = enumerate_mti(Q, p)
-        if sorted(K.upper.basis.rows for _, K in out) != sorted(
-            S.upper.basis.rows for S in expected
-        ):
+            if cyclic not in seen:
+                seen.add(cyclic)
+                out.append((a, b))
+    return out
+
+
+def lift_mti_label(cov, a, b):
+    """K = <a xi_bar + b P_1> in ker mu_B, certified maximal totally isotropic."""
+    Q, p = ker_mu_of_pair(cov.pair(), cov.m)
+    xi_bar, P1, _ = ker_mu_basis(cov)
+    K = Q.subgroup([a * xi_bar + b * P1])
+    if not is_maximal_isotropic(K, p):
+        message = f"<{a} xi + {b} P1> failed the m.t.i. certification"
+        raise CertificationError(message, ["classify-mti"])
+    return K
+
+
+def classify_mti_K(cov):
+    """((a, b), K) for each label of ``mti_labels(m)``: one K per cyclic subgroup of (Z/m)^2.
+
+    (xi_bar, P_1) is a basis of (Z/m)^2.  For prime m the list is exactly the
+    m + 1 subgroups of ker mu_B, cross-checked against exhaustive enumeration.
+    """
+    out = [((a, b), lift_mti_label(cov, a, b)) for a, b in mti_labels(cov.m)]
+    if _is_prime(cov.m):
+        expected = enumerate_mti(*ker_mu_of_pair(cov.pair(), cov.m))
+        found = sorted(K.upper.basis.rows for _, K in out)
+        if found != sorted(S.upper.basis.rows for S in expected):
             raise CertificationError(
                 "classified subgroups disagree with exhaustive enumeration",
                 ["classify-crosscheck"],
@@ -784,7 +782,7 @@ def verify_kernel_identification(cov, K):
     m, g = cov.m, cov.g
     lam0 = cov.base.lattice
     _, P1, _ = ker_mu_basis(cov)
-    Q, _, _ = _ker_mu_data(cov)
+    Q, _ = ker_mu_of_pair(cov.pair(), m)
 
     direct = FiniteQuotient(lam0, _transfer_preimage(cov, K.upper))
 

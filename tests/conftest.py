@@ -10,9 +10,19 @@ from itertools import combinations, product
 from math import gcd, lcm, prod
 
 import pytest
+from hypothesis import strategies as st
 
-from symplat.comppair import ker_mu_of_pair
-from symplat.covers import eta_class, ker_mu_basis, standard_cover
+from symplat.cli import EXIT_OK, EXIT_VALIDATION
+from symplat.comppair import ker_mu_of_pair, welters_construct
+from symplat.covers import (
+    RibbonGraph,
+    birational_predicate,
+    classify_mti_K,
+    eta_class,
+    ker_mu_basis,
+    standard_cover,
+    surface_ribbon,
+)
 from symplat.errors import DomainError
 from symplat.finquot import (
     FiniteQuotient,
@@ -21,8 +31,10 @@ from symplat.finquot import (
     orthogonal_subgroup,
     preimage_under_mult,
 )
+from symplat.jsonio import SCHEMA, dumps_canonical, welters_report
 from symplat.lattice import Lattice, congruence_kernel, lattice_sum, preimage_lattice
 from symplat.matrix import Mat, hermite_column_form, smith_normal_form, xgcd
+from symplat.pollat import polarization_type
 
 
 # -- cover fixtures shared across modules ------------------------------------
@@ -45,6 +57,38 @@ def cover32():
 @pytest.fixture(scope="session")
 def cover24():
     return standard_cover(2, 4)
+
+
+# -- drawn cyclic covers shared across modules --------------------------------
+
+def subdivided_surface(g):
+    """``surface_ribbon(g)`` with a_1 split in two at a new vertex: 2 vertices.
+
+    Edge 0 now runs from the old vertex to the new one and edge 2g runs back,
+    so the loop a_1 is the path 0 then 2g.
+    """
+    rot = list(surface_ribbon(g).rotations[0])
+    rot[rot.index(1)] = 4 * g + 1  # a_1 now comes home along edge 2g
+    return RibbonGraph(2 * g + 1, [rot, [4 * g, 1]])
+
+
+@st.composite
+def voltage_covers(draw, genera=st.integers(1, 3), degrees=st.integers(1, 5),
+                   two_vertices=st.booleans()):
+    """(R, voltages, m): a connected cover of a one- or two-vertex genus-g graph.
+
+    g, m and the choice of graph are drawn from the given strategies: by
+    default g <= 3, m <= 5 and either graph.
+    """
+    g, m = draw(genera), draw(degrees)
+    two_vertex = draw(two_vertices)
+    R = subdivided_surface(g) if two_vertex else surface_ribbon(g)
+    volts = [draw(st.integers(0, m - 1)) for _ in range(R.n_edges)]
+    # the loop voltages must generate Z/m; a_1 is edge 0, then edge 2g if subdivided
+    a_1 = volts[0] + (volts[2 * g] if two_vertex else 0)
+    if gcd(m, a_1, *volts[1:2 * g]) != 1:
+        volts[0] = (volts[0] + 1 - a_1) % m  # a_1 now has loop voltage 1
+    return R, volts, m
 
 
 # -- oracle: elimination on Fraction entries ---------------------------------
@@ -336,6 +380,38 @@ def classify_by_lifting_every_label(cov):
     return out
 
 
+def welters_by_classifying(cov):
+    """{"a:b": (exit code, output)} of ``welters`` for every a, b in 0..m-1, by lookup.
+
+    Classifies every label with ``classify_mti_K``, refuses a label it did not
+    list, and runs ``welters_construct`` on dict(classified)[label]: the
+    output ``cli.run`` gave when ``welters`` looked its label up this way.
+    """
+    labeled = dict(classify_mti_K(cov))
+    _, P1, _ = ker_mu_basis(cov)
+    out = {}
+    for label in product(range(cov.m), repeat=2):
+        key = f"{label[0]}:{label[1]}"
+        if label not in labeled:
+            message = f"no subgroup labeled {label}; available: {sorted(labeled)}"
+            out[key] = (EXIT_VALIDATION, f"invalid input: {message}\n")
+            continue
+        K = labeled[label]
+        w = welters_construct(cov.pair(), K, cov.m)
+        out[key] = (EXIT_OK, dumps_canonical({
+            "schema": SCHEMA,
+            "command": "welters",
+            "g": cov.g,
+            "m": cov.m,
+            "K_label": key,
+            "birational": birational_predicate(K, P1),
+            "X_dim": w.X.dim,
+            "X_type": [str(d) for d in polarization_type(w.X)],
+            "certificate": welters_report(w),
+        }))
+    return out
+
+
 # -- oracles: ker mu_B questions answered with lattices ----------------------
 
 def birational_by_membership(K, P1):
@@ -433,7 +509,10 @@ class GroupTable:
         return frozenset(seen)
 
     def all_subgroups(self):
-        """Closure BFS: repeatedly extend known subgroups by single elements."""
+        """Closure BFS: repeatedly extend known subgroups by single elements.
+
+        S + <x> is the union of the cosets S + kx, k = 0, 1, ... until kx lies in S.
+        """
         elements = self.elements()
         trivial = self.close([])
         found = {trivial}
@@ -442,7 +521,11 @@ class GroupTable:
             S = frontier.pop()
             for x in elements:
                 if x not in S:
-                    T = self.close(list(S) + [x])
+                    T, kx = set(S), x
+                    while kx not in S:
+                        T.update(self.add(s, kx) for s in S)
+                        kx = self.add(kx, x)
+                    T = frozenset(T)
                     if T not in found:
                         found.add(T)
                         frontier.append(T)

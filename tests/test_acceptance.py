@@ -141,7 +141,7 @@ def test_criterion_2_cover_suite(cover22, cover23, cover32, cover24):
         pi0_ok = group.order == m
         eta = eta_class(cov)
         eta_ok = eta.order() == m
-        Q, _, _ = __import__("symplat.covers", fromlist=["_ker_mu_data"])._ker_mu_data(cov)
+        Q, _ = ker_mu_of_pair(cov.pair(), m)
         kermu_ok = Q.invariants == (m, m)
         case_ok = all(
             [genus_ok, symplectic_ok, order_ok, proj_ok, sum_ok, pi0_ok, eta_ok, kermu_ok]
@@ -159,7 +159,7 @@ def test_criterion_3_classification(cover22, cover23):
     details = []
     for cov in (cover22, cover23):
         m, g = cov.m, cov.g
-        Q, p, _ = __import__("symplat.covers", fromlist=["_ker_mu_data"])._ker_mu_data(cov)
+        Q, p = ker_mu_of_pair(cov.pair(), m)
         labeled = classify_mti_K(cov)
         count_ok = len(labeled) == m + 1
         exhaustive = enumerate_mti(Q, p)

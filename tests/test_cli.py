@@ -4,13 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symplat import cli
+from symplat import cli, covers
 from symplat.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -18,8 +21,11 @@ from symplat.cli import (
     cmd_quotient,
     run,
 )
-from symplat.covers import standard_cover
-from symplat.jsonio import SCHEMA
+from symplat.covers import VoltageAssignment, cyclic_cover, ker_mu_basis, standard_cover
+from symplat.finquot import FiniteQuotient
+from symplat.jsonio import SCHEMA, cover_to_obj, dumps_canonical
+
+from conftest import voltage_covers, welters_by_classifying
 
 
 def payload(argv):
@@ -293,6 +299,80 @@ def test_welters_unknown_label(tmp_path):
     # labels are read modulo m: 5:5 is 1:1
     code, _ = run(["welters", str(fixture), "--K", "5:5"])
     assert code == EXIT_OK
+
+
+# -- welters lifts only the label it is given ---------------------------------
+
+def _write_fixture(cov, path):
+    path.write_text(dumps_canonical({"fixture": cover_to_obj(cov)}))
+    return str(path)
+
+
+def _assert_welters_as_by_classifying(cov, path):
+    for label, expected in welters_by_classifying(cov).items():
+        assert run(["welters", path, "--K", label]) == expected, label
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9])
+def test_welters_matches_the_classifying_lookup(tmp_path, m):
+    cov = standard_cover(2, m)
+    _assert_welters_as_by_classifying(cov, _write_fixture(cov, tmp_path / "cover.json"))
+
+
+@settings(max_examples=4, deadline=None)
+@given(voltage_covers(st.just(2), st.sampled_from((4, 6)), st.just(False)))
+def test_welters_matches_the_classifying_lookup_on_drawn_voltages(cover):
+    R, volts, m = cover
+    cov = cyclic_cover(R, VoltageAssignment(m, volts), m)
+    with tempfile.TemporaryDirectory() as d:
+        _assert_welters_as_by_classifying(cov, _write_fixture(cov, Path(d) / "cover.json"))
+
+
+def test_welters_lifts_one_subgroup_and_classifies_none(monkeypatch, tmp_path, cover23):
+    # a cover whose (xi_bar, P_1) is known: the generation check of ker_mu_basis
+    # forms a subgroup of its own, so only the lift is left to count
+    ker_mu_basis(cover23)
+    monkeypatch.setattr(cli, "cover_from_obj", lambda obj: cover23)
+    calls = {"classify": 0, "subgroup": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (cli, covers):
+        monkeypatch.setattr(module, "classify_mti_K", counting("classify", covers.classify_mti_K))
+    monkeypatch.setattr(
+        FiniteQuotient, "subgroup", counting("subgroup", FiniteQuotient.subgroup)
+    )
+    path = _write_fixture(cover23, tmp_path / "cover.json")
+    code, text = run(["welters", path, "--K", "1:2"])
+    assert code == EXIT_OK, text
+    assert calls == {"classify": 0, "subgroup": 1}
+
+
+def test_welters_on_a_degree_one_fixture(tmp_path):
+    path = _write_fixture(standard_cover(2, 1), tmp_path / "cover.json")
+    for label in ("0:0", "1:0"):
+        assert run(["welters", path, "--K", label]) == (
+            EXIT_VALIDATION, "invalid input: ker mu basis needs a cover of degree >= 2\n"
+        )
+
+
+def test_deeply_nested_fixture_is_unreadable(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, text = run(["welters", str(path), "--K", "1:0"])
+    assert code == EXIT_VALIDATION
+    assert text.startswith("invalid input: cannot read fixture: ")
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", ""], ids=["no-such-dir", "a-dir"])
+def test_unwritable_out_exits_3(tmp_path, target):
+    code, text = run(["dims", "--g", "2", "--m", "2", "--out", str(tmp_path / target)])
+    assert code == EXIT_VALIDATION
+    assert text.startswith("invalid input: cannot write output: ")
 
 
 def test_dims_payload():

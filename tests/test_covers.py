@@ -1,7 +1,6 @@
 """Ribbon graphs, cyclic covers, and the cover-certification operations."""
 
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +38,8 @@ from conftest import (
     dense_chain_maps,
     kernel_identification_by_lattices,
     power_and_sum_by_steps,
+    subdivided_surface,
+    voltage_covers,
 )
 
 
@@ -330,36 +331,6 @@ def test_nonstandard_voltage_cover():
 
 
 # -- chain maps on edge indices against the dense chain matrices -------------
-
-def subdivided_surface(g):
-    """``surface_ribbon(g)`` with a_1 split in two at a new vertex: 2 vertices.
-
-    Edge 0 now runs from the old vertex to the new one and edge 2g runs back,
-    so the loop a_1 is the path 0 then 2g.
-    """
-    rot = list(surface_ribbon(g).rotations[0])
-    rot[rot.index(1)] = 4 * g + 1  # a_1 now comes home along edge 2g
-    return RibbonGraph(2 * g + 1, [rot, [4 * g, 1]])
-
-
-@st.composite
-def voltage_covers(draw, genera=st.integers(1, 3), degrees=st.integers(1, 5),
-                   two_vertices=st.booleans()):
-    """(R, voltages, m): a connected cover of a one- or two-vertex genus-g graph.
-
-    g, m and the choice of graph are drawn from the given strategies: by
-    default g <= 3, m <= 5 and either graph.
-    """
-    g, m = draw(genera), draw(degrees)
-    two_vertex = draw(two_vertices)
-    R = subdivided_surface(g) if two_vertex else surface_ribbon(g)
-    volts = [draw(st.integers(0, m - 1)) for _ in range(R.n_edges)]
-    # the loop voltages must generate Z/m; a_1 is edge 0, then edge 2g if subdivided
-    a_1 = volts[0] + (volts[2 * g] if two_vertex else 0)
-    if gcd(m, a_1, *volts[1:2 * g]) != 1:
-        volts[0] = (volts[0] + 1 - a_1) % m  # a_1 now has loop voltage 1
-    return R, volts, m
-
 
 def test_subdivided_surface_is_the_two_vertex_torus():
     R = subdivided_surface(1)

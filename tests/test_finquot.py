@@ -28,6 +28,7 @@ from symplat.pollat import (
 )
 
 from conftest import (
+    GroupTable,
     OracleElement,
     brute_force_mti,
     filtered_mti,
@@ -422,6 +423,11 @@ def test_subgroup_counts_match_gaussian_binomials(n, q, count):
     Zn = Lattice.standard(n)
     Q = FiniteQuotient(Zn.scaled(q), Zn)
     assert len(enumerate_subgroups(Q)) == _gaussian_binomial_total(n, q) == count
+
+
+@pytest.mark.parametrize("n, q, count", [(4, 2, 67), (4, 3, 212)])
+def test_closure_oracle_counts_match_gaussian_binomials(n, q, count):
+    assert len(GroupTable((q,) * n).all_subgroups()) == _gaussian_binomial_total(n, q) == count
 
 
 @st.composite
