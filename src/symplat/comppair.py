@@ -12,7 +12,7 @@ once computed, so a Welters census over every K of ker μ_B builds them once.
 
 from functools import wraps
 
-from .errors import CertificationError, DomainError, IsotropyError, certify
+from .errors import DomainError, IsotropyError, certify
 from .finquot import FiniteQuotient, enumerate_mti, is_maximal_isotropic
 from .lattice import Lattice, kernel_lattice, lattice_sum, saturate
 from .matrix import Mat
@@ -121,15 +121,12 @@ def complement(ambient, sub_B):
         raise DomainError(
             "the form degenerates on B: not (the lattice of) an abelian subvariety"
         )
-    if pair.sub_A.rank + sub_B.rank != ambient.rank:
-        raise CertificationError("complement rank count failed", ["complement-rank"])
-
+    rank_ok = pair.sub_A.rank + sub_B.rank == ambient.rank
+    certify("complement rank count", {"complement-rank": rank_ok})
     orders = _pair_orders(pair)
-    if len(set(orders.values())) != 1:
-        raise CertificationError(
-            f"order identity |A∩B| = |ker λ_A| = |ker λ_B| failed: {orders}",
-            ["pair-order-identity"],
-        )
+    certify(f"order identity |A∩B| = |ker λ_A| = |ker λ_B| on {orders}", {
+        "pair-order-identity": len(set(orders.values())) == 1,
+    })
     return pair
 
 
@@ -161,17 +158,15 @@ def j_endomorphism(pair, m):
     (j-1)(j+m-1) = 0, has ker(1-j) saturated equal to A and ker(j+m-1) equal
     to B, and is E-self-adjoint through 1-j = m*pr_B.
     """
-    if m % pair.intersection.exponent != 0:
+    # A∩B ≅ ker λ_B, so its exponent is the last (largest) entry of the type of B
+    if m % max(polarization_type(pair.restricted(pair.sub_B)), default=1) != 0:
         raise DomainError("exponent of A∩B must divide m")
     n = pair.ambient.ambient_dim
     pr_B = orthogonal_projection(pair)
     j = Mat.identity(n) - pr_B * m
     lam = pair.ambient.lattice
     coords = lam.coords_matrix(j * lam.basis)
-    if not coords.is_integral():
-        raise CertificationError(
-            "j does not preserve the lattice (inconsistent pair)", ["j-integrality"]
-        )
+    certify("lattice preservation by j", {"j-integrality": coords.is_integral()})
     one = Mat.identity(n)
     E = pair.ambient.form
     certify("j identities", {

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .comppair import _kept, complement, ker_mu_of_pair, orthogonal_projection
-from .errors import BudgetError, CertificationError, DomainError, certify
+from .errors import BudgetError, DomainError, certify
 from .finquot import (
     FiniteQuotient,
     enumerate_mti,
@@ -204,8 +204,8 @@ def surface_ribbon(g):
         a, b = 2 * i, 2 * i + 1
         rot.extend([2 * a, 2 * b, 2 * a + 1, 2 * b + 1])
     R = RibbonGraph(2 * g, [rot])
-    if len(R.faces()) != 1 or R.genus() != g:
-        raise CertificationError("standard surface rotation failed", ["surface-ribbon"])
+    ok = len(R.faces()) == 1 and R.genus() == g
+    certify("standard surface rotation", {"surface-ribbon": ok})
     return R
 
 
@@ -293,8 +293,7 @@ def _contract_tree(R, tree):
     for e in sorted(tree):
         d_t, d_h = 2 * e, 2 * e + 1
         u, v = vertex_of[d_t], vertex_of[d_h]
-        if u == v:
-            raise CertificationError("tree edge became a loop", ["tree-contract"])
+        certify("tree edge contraction", {"tree-contract": u != v})
         rot_u, rot_v = rotations[u], rotations[v]
         iu, iv = rot_u.index(d_t), rot_v.index(d_h)
         merged = rot_u[iu + 1:] + rot_u[:iu] + rot_v[iv + 1:] + rot_v[:iv]
@@ -302,8 +301,7 @@ def _contract_tree(R, tree):
         del rotations[v]
         for d in merged:
             vertex_of[d] = u
-    if len(rotations) != 1:
-        raise CertificationError("tree contraction left several vertices", ["tree-contract"])
+    certify("tree contraction to one vertex", {"tree-contract": len(rotations) == 1})
     return next(iter(rotations.values()))
 
 
@@ -369,25 +367,21 @@ def _build_homology(R):
         [tuple(fv[e] for e in nontree) for fv in faces], nrows=L
     )
     # faces are cycles and lie in the radical of the chord pairing
-    for k, fv in enumerate(faces):
-        if fund_cycles.apply(face_coords.col(k)) != tuple(fv):
-            raise CertificationError("face boundary is not a cycle", ["face-cycle"])
-    if not (gram * face_coords).is_zero():
-        raise CertificationError(
-            "face boundaries do not lie in the radical of the intersection pairing",
-            ["face-radical"],
-        )
+    certify("face boundaries", {
+        "face-cycle": all(
+            fund_cycles.apply(face_coords.col(k)) == tuple(fv) for k, fv in enumerate(faces)
+        ),
+        "face-radical": (gram * face_coords).is_zero(),
+    })
 
     U, D, _ = smith_normal_form(face_coords)
     r = sum(1 for i in range(min(D.nrows, D.ncols)) if D.rows[i][i] != 0)
-    if r != len(faces) - 1:
-        raise CertificationError("face relations have unexpected rank", ["face-rank"])
-    if any(D.rows[i][i] != 1 for i in range(r)):
-        raise CertificationError("face boundary lattice is not saturated", ["face-saturated"])
+    certify("face relation lattice", {
+        "face-rank": r == len(faces) - 1,
+        "face-saturated": all(D.rows[i][i] == 1 for i in range(r)),
+    })
     h = L - r
-    expected_h = 2 * R.genus()
-    if h != expected_h:
-        raise CertificationError("homology rank disagrees with the genus", ["h1-rank"])
+    certify("homology rank = 2 * genus", {"h1-rank": h == 2 * R.genus()})
 
     Uinv = U.inverse()
     proj = Mat(U.rows[r:], ncols=L) if h else Mat.zero(0, L)
@@ -395,8 +389,7 @@ def _build_homology(R):
 
     form = section.T * gram * section
     P = PolarizedLattice(Lattice.standard(h), form)
-    if not polarization_type(P).is_principal:
-        raise CertificationError("surface intersection form is not unimodular", ["h1-principal"])
+    certify("unimodular intersection form", {"h1-principal": polarization_type(P).is_principal})
     return _Homology(R, P, fund_cycles, nontree, proj, section)
 
 
@@ -509,11 +502,7 @@ def cyclic_cover(R, voltages, m):
     total_h = _build_homology(cover)
     g_cover = cover.genus()
     genus_ok = g_cover == m * g - m + 1
-    if not genus_ok:
-        raise CertificationError(
-            f"cover genus {g_cover} differs from mg-m+1 = {m * g - m + 1}",
-            ["cover-genus"],
-        )
+    certify(f"cover genus {g_cover} = mg-m+1 = {m * g - m + 1}", {"cover-genus": genus_ok})
 
     # Chain maps on the edge-space rows of the homology representatives.
     reps = total_h.homology_to_edges().rows
@@ -589,11 +578,9 @@ def norm_component_group(cov):
     """
     pushed = Lattice(cov.base.ambient_dim, cov.pushforward.matrix * cov.total.lattice.basis)
     group = FiniteQuotient(pushed, cov.base.lattice)
-    if group.order != cov.m:
-        raise CertificationError(
-            f"component group has order {group.order}, expected m = {cov.m}",
-            ["component-group-order"],
-        )
+    certify(f"component group order {group.order} = m = {cov.m}", {
+        "component-group-order": group.order == cov.m,
+    })
     w = cov.voltage_functional()
 
     def component_index(x):
@@ -617,17 +604,15 @@ def eta_class(cov):
         raise DomainError("eta is defined for covers of degree >= 2")
     Q = FiniteQuotient(cov.base.lattice, _transfer_preimage(cov, cov.total.lattice))
     eta = _cyclic_generator(
-        Q, cov.m, "ker pi^* is {Q!r}, not cyclic of order {m}", "ker-transfer-cyclic"
+        Q, cov.m, "ker pi^* = {Q!r} cyclic of order {m}", "ker-transfer-cyclic"
     )
-    if eta.order() != cov.m:
-        raise CertificationError("eta does not have order m", ["eta-order"])
+    certify("eta of order m", {"eta-order": eta.order() == cov.m})
     return eta
 
 
-def _cyclic_generator(Q, m, message, failure):
-    """A generator of Q, certified cyclic of order m; else fails with message.format(Q=Q, m=m)."""
-    if Q.order != m or len(Q.invariants) != 1:
-        raise CertificationError(message.format(Q=Q, m=m), [failure])
+def _cyclic_generator(Q, m, what, failure):
+    """A generator of Q, certified cyclic of order m as ``what.format(Q=Q, m=m)``."""
+    certify(what.format(Q=Q, m=m), {failure: Q.order == m and len(Q.invariants) == 1})
     W, diag = Q._adapted()
     return Q.element(W.col(diag.index(m)))
 
@@ -657,18 +642,17 @@ def ker_mu_basis(cov):
     c_lattice = preimage_lattice(pushed, cov.base.lattice)
     ker_nm_bar = FiniteQuotient(dualB, Lattice(dualB.ambient_dim, WB * c_lattice.basis))
     gen = _cyclic_generator(
-        ker_nm_bar, m, "ker Nm-bar is {Q!r}, not cyclic of order m", "ker-nmbar-cyclic"
+        ker_nm_bar, m, "ker Nm-bar = {Q!r} cyclic of order m", "ker-nmbar-cyclic"
     )
 
     _, component_index = norm_component_group(cov)
     c = component_index(gen.rep)
-    if gcd(c, m) != 1:
-        raise CertificationError("generator has non-unit component index", ["p1-index"])
+    certify("unit component index of the generator", {"p1-index": gcd(c, m) == 1})
     P1 = Q.element((pow(c, -1, m) * gen).rep)
 
     checks = certify("ker mu basis certification", {
         "ker-mu-order": Q.order == m * m,
-        "ker-mu-invariants": Q.invariants == (m, m) if m > 1 else True,
+        "ker-mu-invariants": Q.invariants == (m, m),
         "xi-order": xi_bar.order() == m,
         "p1-order": P1.order() == m,
         "generate": Q.subgroup([xi_bar, P1]).upper == Q.upper,
@@ -696,9 +680,9 @@ def lift_mti_label(cov, a, b):
     Q, p = ker_mu_of_pair(cov.pair(), cov.m)
     xi_bar, P1, _ = ker_mu_basis(cov)
     K = Q.subgroup([a * xi_bar + b * P1])
-    if not is_maximal_isotropic(K, p):
-        message = f"<{a} xi + {b} P1> failed the m.t.i. certification"
-        raise CertificationError(message, ["classify-mti"])
+    certify(f"<{a} xi + {b} P1> m.t.i. certification", {
+        "classify-mti": is_maximal_isotropic(K, p),
+    })
     return K
 
 
@@ -712,11 +696,9 @@ def classify_mti_K(cov):
     if _is_prime(cov.m):
         expected = enumerate_mti(*ker_mu_of_pair(cov.pair(), cov.m))
         found = sorted(K.upper.basis.rows for _, K in out)
-        if found != sorted(S.upper.basis.rows for S in expected):
-            raise CertificationError(
-                "classified subgroups disagree with exhaustive enumeration",
-                ["classify-crosscheck"],
-            )
+        certify("classification against exhaustive enumeration", {
+            "classify-crosscheck": found == sorted(S.upper.basis.rows for S in expected),
+        })
     return out
 
 

@@ -3,8 +3,10 @@
 Three coarse classes matter to callers (and to the CLI exit codes):
 input/precondition problems, exhausted enumeration budgets, and failed
 certifications of identities that the constructions promise.  ``certify``
-is the one path by which a construction turns its ``{identity: bool}`` checks
-into a certificate or a CertificationError.
+is the one path by which every check of a promised identity becomes a
+certificate or a CertificationError "<what> failed: [names]"; the only other
+raise turns the DomainError of a non-integral adjoint into the failure
+``adjoint-integrality`` (``pollat.adjoint_map``).
 """
 
 

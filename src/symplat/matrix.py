@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .errors import CertificationError, DomainError
+from .errors import DomainError, certify
 
 __all__ = [
     "Mat",
@@ -474,8 +474,7 @@ def smith_normal_form(M):
     D = Mat._trusted(tuple(tuple(row[:n]) for row in w[:m]), n)
     V = Mat._trusted(tuple(tuple(row[:n]) for row in w[m:]), n)
     # The transforms certify themselves; this is the kernel everything rests on.
-    if U * M * V != D:
-        raise CertificationError("Smith normal form transforms fail U*M*V = D", ["U*M*V = D"])
+    certify("Smith normal form transforms", {"U*M*V = D": U * M * V == D})
     return U, D, V
 
 

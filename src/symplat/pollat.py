@@ -9,7 +9,7 @@ nested lattices and isogeny quotients become lattice enlargements.
 
 from fractions import Fraction
 
-from .errors import CertificationError, DomainError, IsotropyError
+from .errors import CertificationError, DomainError, IsotropyError, certify
 from .finquot import FiniteQuotient, PairingOnQuotient
 from .lattice import Lattice
 from .matrix import Mat, smith_normal_form
@@ -102,10 +102,7 @@ class PolarizedLattice:
         diag = [D.rows[i][i] for i in range(lattice.rank)]
         if diag and diag[-1] == 0:
             raise DomainError("form is degenerate on the lattice span")
-        if diag[0::2] != diag[1::2]:
-            raise CertificationError(
-                "alternating Gram invariants failed to pair up", ["snf-pairing"]
-            )
+        certify("alternating Gram invariants", {"snf-pairing": diag[0::2] == diag[1::2]})
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "_gram", gram)
@@ -234,11 +231,8 @@ def quotient_by_isotropic(P, K, scale):
 def principal_quotient(P, K, m):
     """quotient_by_isotropic at scale m, certified principal."""
     X = quotient_by_isotropic(P, K, m)
-    if not polarization_type(X).is_principal:
-        raise CertificationError(
-            f"quotient polarization type {polarization_type(X).chain} is not principal",
-            ["quotient-principal"],
-        )
+    t = polarization_type(X)
+    certify(f"quotient polarization type {t.chain}", {"quotient-principal": t.is_principal})
     return X
 
 
@@ -305,8 +299,7 @@ def adjoint_map(f, P_src, P_dst):
     # certify the defining identity on the span bases
     lhs = (ft * Bd).T * P_src.form * Bs
     rhs = Bd.T * P_dst.form * (f.matrix * Bs)
-    if lhs != rhs:
-        raise CertificationError("adjoint characterization failed", ["adjoint-defining"])
+    certify("adjoint characterization", {"adjoint-defining": lhs == rhs})
     try:
         return LatticeMap(ft, P_dst.lattice, P_src.lattice)
     except DomainError:

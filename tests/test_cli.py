@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from symplat import cli, covers
 from symplat.cli import (
     EXIT_BUDGET,
+    EXIT_CERTIFICATION,
     EXIT_OK,
     EXIT_VALIDATION,
     cmd_quotient,
@@ -238,6 +239,44 @@ def test_welters_under_python_O_matches_in_process(tmp_path):
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout == run(argv)[1]
+
+
+def test_forced_failure_under_python_O_exits_1():
+    # certify raises explicitly, so a failed Smith certificate stops -O too
+    script = (
+        "import sys\n"
+        "from symplat import cli, matrix\n"
+        "def swap_cols_in_a_only(self, i, j):\n"
+        "    for row in self.w[:self.m]:\n"
+        "        row[i], row[j] = row[j], row[i]\n"
+        "matrix._SnfState.swap_cols = swap_cols_in_a_only\n"
+        "sys.exit(cli.main(['quotient', '--g', '1', '--m', '2']))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert proc.returncode == EXIT_CERTIFICATION, proc.stderr
+    assert proc.stderr == "certification failure: Smith normal form transforms failed: ['U*M*V = D']\n"
+
+
+def test_forced_cover_failure_exits_1(monkeypatch):
+    monkeypatch.setattr(covers, "enumerate_mti", lambda Q, p: [])
+    code, text = run(["cover", "--g", "2", "--m", "2"])
+    assert code == EXIT_CERTIFICATION
+    assert text.startswith("certification failure:"), text
+    assert "['classify-crosscheck']" in text
+
+
+def test_forced_welters_failure_exits_1(monkeypatch, tmp_path):
+    fixture = tmp_path / "cover.json"
+    assert run(["cover", "--g", "2", "--m", "3", "--out", str(fixture)])[0] == EXIT_OK
+    monkeypatch.setattr(covers, "is_maximal_isotropic", lambda K, p: False)
+    code, text = run(["welters", str(fixture), "--K", "1:0"])
+    assert code == EXIT_CERTIFICATION
+    assert text == "certification failure: <1 xi + 0 P1> m.t.i. certification failed: ['classify-mti']\n"
 
 
 def test_cover_degree_is_bounded():

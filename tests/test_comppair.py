@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from symplat.comppair import (
     complement,
@@ -12,7 +13,13 @@ from symplat.comppair import (
     welters_construct,
 )
 from symplat import cli, comppair, covers
-from symplat.covers import classify_mti_K, prym_sublattice, standard_cover
+from symplat.covers import (
+    VoltageAssignment,
+    classify_mti_K,
+    cyclic_cover,
+    prym_sublattice,
+    standard_cover,
+)
 from symplat.jsonio import welters_report
 from symplat.errors import DomainError, IsotropyError
 from symplat.finquot import enumerate_mti
@@ -26,6 +33,8 @@ from symplat.pollat import (
     symplectic_form,
     torsion_subgroup,
 )
+
+from conftest import voltage_covers
 
 
 def split_pair():
@@ -158,6 +167,28 @@ def test_j_swap_identity(m):
     j = j_endomorphism(pair, m)
     j_swapped = j_endomorphism(complement(ambient, pair.sub_A), m)
     assert j_swapped.matrix == Mat.identity(4) * (2 - m) - j.matrix
+
+
+def _assert_exponent_read_off_the_type_of_B(cov):
+    # A∩B ≅ ker λ_B, so its exponent is the last entry of B's type; j reads
+    # it there and takes no Smith form of A∩B
+    for pair in (cov.pair(), complement(cov.total, prym_sublattice(cov)[0])):
+        j_endomorphism(pair, cov.m)
+        assert pair.intersection._snf is None
+        chain = polarization_type(pair.restricted(pair.sub_B)).chain
+        assert (chain[-1] if chain else 1) == pair.intersection.exponent
+
+
+@pytest.mark.parametrize("g, m", [(2, m) for m in range(2, 10)] + [(3, 2), (3, 3), (4, 2)])
+def test_intersection_exponent_of_standard_covers(g, m):
+    _assert_exponent_read_off_the_type_of_B(standard_cover(g, m))
+
+
+@settings(max_examples=15, deadline=None)
+@given(voltage_covers())
+def test_intersection_exponent_of_drawn_covers(cover):
+    R, volts, m = cover
+    _assert_exponent_read_off_the_type_of_B(cyclic_cover(R, VoltageAssignment(m, volts), m))
 
 
 def test_j_matches_deck_action(cover22):
