@@ -689,28 +689,20 @@ def lift_mti_label(cov, a, b):
 def classify_mti_K(cov):
     """((a, b), K) for each label of ``mti_labels(m)``: one K per cyclic subgroup of (Z/m)^2.
 
-    (xi_bar, P_1) is a basis of (Z/m)^2.  For prime m the list is exactly the
-    m + 1 subgroups of ker mu_B, cross-checked against exhaustive enumeration.
+    (xi_bar, P_1) is a basis of (Z/m)^2.  At every m the list is exactly the
+    cyclic maximal isotropic subgroups of ker mu_B (those with one invariant),
+    cross-checked against exhaustive enumeration; the other sigma(m) - psi(m)
+    are never birational, since K + <P_1> = ker mu_B forces K = Z/m.
     """
     out = [((a, b), lift_mti_label(cov, a, b)) for a, b in mti_labels(cov.m)]
-    if _is_prime(cov.m):
-        expected = enumerate_mti(*ker_mu_of_pair(cov.pair(), cov.m))
-        found = sorted(K.upper.basis.rows for _, K in out)
-        certify("classification against exhaustive enumeration", {
-            "classify-crosscheck": found == sorted(S.upper.basis.rows for S in expected),
-        })
+    expected = enumerate_mti(*ker_mu_of_pair(cov.pair(), cov.m))
+    found = sorted(K.upper.basis.rows for _, K in out)
+    certify("classification against exhaustive enumeration", {
+        "classify-crosscheck": found == sorted(
+            S.upper.basis.rows for S in expected if len(S.invariants) == 1
+        ),
+    })
     return out
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _order_modulo(K, x):
@@ -754,7 +746,7 @@ def verify_kernel_identification(cov, K):
       preimages under the composite saturate K by ker(Nm-bar) = <P_1>, so D
       equals [m]^{-1}(Nm-bar(K)) exactly when P_1 in K, and sits inside it
       with index [K + <P_1> : K] otherwise (m in the birational case);
-    * for prime m and birational K, Nm-bar(K) = <eta>, so
+    * for birational K, K + <P_1> = ker mu_B gives Nm-bar(K) = <eta>, so
       [m]^{-1}(Nm-bar(K)) = [m]^{-1}<eta>, of order m^(2g) * m.
 
     Returns (ok, identified_order) with identified_order the order of
@@ -788,8 +780,6 @@ def verify_kernel_identification(cov, K):
         and via_norm.upper.contains_lattice(direct.upper)
         and via_norm.order == direct.order * idx
     )
-    if ok and idx == 1:
-        ok = via_norm.upper == direct.upper
-    if ok and idx == m and _is_prime(m):
-        ok = via_norm.upper == _eta_preimage(cov) and via_norm.order == m ** (2 * g) * m
+    if ok and idx == m:
+        ok = via_norm.upper == _eta_preimage(cov)
     return ok, via_norm.order

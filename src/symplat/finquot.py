@@ -80,14 +80,6 @@ class FiniteQuotient:
         _, diag = self._adapted()
         return tuple(d for d in diag if d > 1)
 
-    @property
-    def exponent(self):
-        inv = self.invariants
-        return inv[-1] if inv else 1
-
-    def is_trivial(self):
-        return self.order == 1
-
     def __eq__(self, other):
         return (
             isinstance(other, FiniteQuotient)
@@ -220,10 +212,12 @@ class PairingOnQuotient:
 
     Well-definedness requires form(upper, lower) ⊆ Z, which makes the value
     on representatives independent of the chosen lifts.  The product
-    upper^T * form that this check forms is kept for ``orthogonal_subgroup``.
+    upper^T * form that this check forms is kept for ``orthogonal_subgroup``,
+    and so is |R|, R = Q^perp the radical, which fixes the order of every
+    maximal totally isotropic subgroup (``is_maximal_isotropic``).
     """
 
-    __slots__ = ("quotient", "form", "_upper_form")
+    __slots__ = ("quotient", "form", "_upper_form", "_radical_order")
 
     def __init__(self, quotient, form):
         if form.nrows != quotient.lower.ambient_dim or not form.is_square():
@@ -236,6 +230,7 @@ class PairingOnQuotient:
         object.__setattr__(self, "quotient", quotient)
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "_upper_form", upper_form)
+        object.__setattr__(self, "_radical_order", orthogonal_subgroup(quotient, self).order)
 
     def __setattr__(self, name, value):
         raise AttributeError("PairingOnQuotient is immutable")
@@ -277,15 +272,17 @@ def orthogonal_subgroup(S, p):
 
 
 def is_maximal_isotropic(S, p):
-    """Maximal totally isotropic test: S isotropic and S^perp ⊆ S.
+    """Maximal totally isotropic test: S isotropic and |S|^2 = |Q| |R|.
 
-    For an alternating pairing, an isotropic S with S^perp ⊆ S equals its own
-    orthogonal, and no isotropic subgroup properly contains such an S.
+    R is the radical of p, kept by the pairing; ``enumerate_mti`` shows that
+    for isotropic S the equation says S^perp = S.  No S^perp is built.
     """
     if not is_isotropic(S, p):
         return False
-    perp = orthogonal_subgroup(S, p)
-    return S.upper.contains_lattice(perp.upper)
+    Q = p.quotient
+    if S.lower != Q.lower:
+        raise DomainError("subgroup does not share the quotient's lower lattice")
+    return S.order ** 2 == Q.order * p._radical_order
 
 
 def _divisors(n):
@@ -318,7 +315,7 @@ def _enumerate(Q, budget, p=None):
     if p is not None:
         # prod(h) of every m.t.i. S, from |S|^2 = |Q| |R|; |Q| |R| is a square
         # because Q/R carries a nondegenerate alternating pairing
-        goal = prod(d) // isqrt(Q.order * orthogonal_subgroup(Q, p).order)
+        goal = prod(d) // isqrt(Q.order * p._radical_order)
         head = [prod(d[:j]) for j in range(k)]
         G = Wsub.T * p.form * Wsub
         den = G.denominator_lcm()

@@ -39,11 +39,6 @@ class LocusReport:
             obj["genus_welters_upper"] = "unknown"
         return obj
 
-    def to_text(self):
-        rows = self.to_json_obj()
-        width = max(len(k) for k in rows)
-        return "\n".join(f"{k.ljust(width)}  {rows[k]}" for k in rows)
-
 
 def locus_dimensions(g, m, r=0):
     """The dimension table for genus g, cover degree m, branch degree r.
@@ -97,10 +92,7 @@ def genus_bounds(g, m):
         upper = 2 * g + 1
     else:
         upper = None
-    family = m * g - m + 1
-    if upper is not None and family > upper:
-        raise DomainError("family bound exceeds the known upper bound")
-    return lower, upper, family
+    return lower, upper, m * g - m + 1
 
 
 def two_minimal_locus_dim(g):

@@ -27,7 +27,7 @@ from symplat.errors import DomainError
 from symplat.finquot import (
     FiniteQuotient,
     enumerate_subgroups,
-    is_maximal_isotropic,
+    is_isotropic,
     orthogonal_subgroup,
     preimage_under_mult,
 )
@@ -160,6 +160,11 @@ def snf_order(Q):
     """|Q| as the product of the Smith diagonal of the lower basis in upper coordinates."""
     _, D, _ = smith_normal_form(Q.upper.coords_matrix(Q.lower.basis))
     return prod(D.rows[i][i] for i in range(D.nrows))
+
+
+def quotient_exponent(Q):
+    """The exponent of Q: its last invariant, or 1 for the trivial group."""
+    return Q.invariants[-1] if Q.invariants else 1
 
 
 class OracleElement:
@@ -420,16 +425,12 @@ def birational_by_membership(K, P1):
     return not any(ell * P1 in K for ell in range(1, m))
 
 
-def _is_prime(n):
-    return n > 1 and all(n % d for d in range(2, n))
-
-
 def kernel_identification_by_lattices(cov, K):
     """(ok, identified_order) as ``verify_kernel_identification`` computed it before.
 
     K + <P_1> is lifted for every K, its index over K is a quotient of two
     orders, each transfer preimage and [m]^{-1}<eta> are built on every call,
-    and the birational branch asks ``birational_by_membership``.
+    and the birational branch asks ``birational_by_membership`` at every m.
     """
     m, g = cov.m, cov.g
     lam0 = cov.base.lattice
@@ -450,7 +451,7 @@ def kernel_identification_by_lattices(cov, K):
     )
     if ok and P1 in K:
         ok = via_norm.upper == direct.upper
-    if ok and _is_prime(m) and birational_by_membership(K, P1):
+    if ok and birational_by_membership(K, P1):
         eta_group = FiniteQuotient(
             lam0,
             lattice_sum(lam0, Lattice.from_generators(lam0.ambient_dim, [eta_class(cov).rep])),
@@ -651,13 +652,22 @@ def generator_enumerate(Q, p=None):
     return out
 
 
+def mti_by_orthogonal(S, p):
+    """Whether S is maximal totally isotropic: S isotropic and S^perp ⊆ S.
+
+    For an alternating pairing, an isotropic S with S^perp ⊆ S equals its own
+    orthogonal, and no isotropic subgroup properly contains such an S.
+    """
+    return is_isotropic(S, p) and S.upper.contains_lattice(orthogonal_subgroup(S, p).upper)
+
+
 def filtered_mti(Q, p):
     """Maximal totally isotropic subgroups by enumerate-then-filter.
 
-    Every subgroup is built as a FiniteQuotient and kept if it is isotropic
-    with S^perp ⊆ S, in the canonical order of ``enumerate_subgroups``.
+    Every subgroup is built as a FiniteQuotient and kept if
+    ``mti_by_orthogonal`` holds, in the canonical order of ``enumerate_subgroups``.
     """
-    return [S for S in enumerate_subgroups(Q) if is_maximal_isotropic(S, p)]
+    return [S for S in enumerate_subgroups(Q) if mti_by_orthogonal(S, p)]
 
 
 def library_subgroup_as_set(S, Q):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symplat import covers, finquot
 from symplat.comppair import _pair_orders, complement, ker_mu_of_pair
 from symplat.covers import (
     RibbonGraph,
@@ -20,6 +21,8 @@ from symplat.covers import (
     eta_class,
     homology_with_form,
     ker_mu_basis,
+    lift_mti_label,
+    mti_labels,
     norm_component_group,
     prym_sublattice,
     standard_cover,
@@ -27,7 +30,7 @@ from symplat.covers import (
     verify_kernel_identification,
 )
 from symplat.errors import DomainError
-from symplat.finquot import FiniteQuotient, preimage_under_mult
+from symplat.finquot import FiniteQuotient, enumerate_mti, preimage_under_mult
 from symplat.lattice import Lattice, kernel_lattice, lattice_sum, saturate
 from symplat.matrix import Mat
 from symplat.pollat import ker_lambda, polarization_type
@@ -123,7 +126,7 @@ def test_cover_m1_trivial():
     sub_A, sub_B = prym_sublattice(cov)
     assert sub_A.rank == 0
     group, component_index = norm_component_group(cov)
-    assert group.is_trivial()
+    assert group.order == 1
     assert component_index(cov.total.lattice.basis.col(0)) == 0
     with pytest.raises(DomainError):
         eta_class(cov)
@@ -284,9 +287,9 @@ def test_kernel_identification(request, name):
             assert order == m ** (2 * g) * m
 
 
-def test_kernel_identification_eta_comparison(cover23):
-    # for prime m and birational K the identified subgroup is [m]^{-1}<eta>
-    cov = cover23
+def test_kernel_identification_eta_comparison(cover24):
+    # for birational K the identified subgroup is [m]^{-1}<eta>, at composite m too
+    cov = cover24
     eta = eta_class(cov)
     lam0 = cov.base.lattice
     eta_group = FiniteQuotient(
@@ -294,6 +297,63 @@ def test_kernel_identification_eta_comparison(cover23):
     )
     expected = preimage_under_mult(eta_group, cov.m)
     assert expected.order == cov.m ** (2 * cov.g) * cov.m
+    assert _eta_preimage(cov) == expected.upper
+    _, P1, _ = ker_mu_basis(cov)
+    birational = [K for _, K in classify_mti_K(cov) if birational_predicate(K, P1)]
+    assert birational
+    for K in birational:
+        assert verify_kernel_identification(cov, K) == (True, expected.order)
+
+
+def test_kernel_identification_compares_eta_at_composite_m(monkeypatch):
+    # 1:0 is birational at m = 4, so the [m]^{-1}<eta> comparison runs and fails
+    cov = standard_cover(2, 4)
+    K = dict(classify_mti_K(cov))[(1, 0)]
+    assert verify_kernel_identification(cov, K)[0]
+    monkeypatch.setattr(covers, "_eta_preimage", lambda cov: cov.base.lattice)
+    assert not verify_kernel_identification(cov, K)[0]
+
+
+def _assert_noncyclic_lagrangians_not_birational(cov):
+    # ker mu_B = (Z/m)^2 has sigma(m) Lagrangians, one per index-m sublattice
+    # of Z^2; a non-cyclic K never has K + <P_1> = ker mu_B, so P_1 has order
+    # below m modulo K
+    _, P1, _ = ker_mu_basis(cov)
+    found = enumerate_mti(*ker_mu_of_pair(cov.pair(), cov.m))
+    assert len(found) == sum(d for d in range(1, cov.m + 1) if cov.m % d == 0)
+    for K in found:
+        if len(K.invariants) == 2:
+            assert _order_modulo(K, P1) < cov.m
+
+
+@pytest.mark.parametrize("m", [4, 8, 9])
+def test_noncyclic_lagrangians_are_not_birational(m):
+    _assert_noncyclic_lagrangians_not_birational(standard_cover(2, m))
+
+
+@settings(max_examples=4, deadline=None)
+@given(voltage_covers(st.just(2), st.sampled_from((4, 8, 9)), st.just(False)))
+def test_noncyclic_lagrangians_are_not_birational_on_drawn_voltages(cover):
+    R, volts, m = cover
+    _assert_noncyclic_lagrangians_not_birational(cyclic_cover(R, VoltageAssignment(m, volts), m))
+
+
+def test_lifting_every_label_builds_one_orthogonal(monkeypatch):
+    # the pairing keeps |R| once; is_maximal_isotropic builds no S^perp
+    cov = standard_cover(2, 6)
+    calls = []
+    real = finquot.orthogonal_subgroup
+
+    def counting(S, p):
+        calls.append(S)
+        return real(S, p)
+
+    monkeypatch.setattr(finquot, "orthogonal_subgroup", counting)
+    labels = mti_labels(6)
+    assert len(labels) == 12
+    for a, b in labels:
+        lift_mti_label(cov, a, b)
+    assert len(calls) == 1
 
 
 # -- input validation ---------------------------------------------------------

@@ -217,6 +217,12 @@ def force_classify_crosscheck(monkeypatch):
     return lambda: covers.classify_mti_K(cov)
 
 
+def force_classify_crosscheck_composite(monkeypatch):
+    cov = covers.standard_cover(2, 4)
+    monkeypatch.setattr(covers, "enumerate_mti", lambda Q, p: [])
+    return lambda: covers.classify_mti_K(cov)
+
+
 FORCED = [
     ("U*M*V = D", force_snf_transforms),
     ("snf-pairing", force_snf_pairing),
@@ -242,6 +248,7 @@ FORCED = [
     ("p1-index", force_p1_index),
     ("classify-mti", force_classify_mti),
     ("classify-crosscheck", force_classify_crosscheck),
+    ("classify-crosscheck", force_classify_crosscheck_composite),
 ]
 
 

@@ -34,7 +34,9 @@ from conftest import (
     filtered_mti,
     generator_enumerate,
     library_subgroup_as_set,
+    mti_by_orthogonal,
     orthogonal_by_triple_product,
+    quotient_exponent,
     quotient_as_table,
     snf_order,
 )
@@ -50,7 +52,7 @@ def quot(lower_gens, upper=None, dim=2):
 def test_invariants_trivial():
     Q = FiniteQuotient(Z2, Z2)
     assert Q.invariants == ()
-    assert Q.order == 1 and Q.is_trivial()
+    assert Q.order == 1
 
 
 def test_invariants_scaling():
@@ -62,7 +64,7 @@ def test_invariants_scaling():
 def test_invariants_mixed():
     Q = quot([(1, 1), (0, 6)])
     assert Q.invariants == (6,)
-    assert Q.exponent == 6
+    assert quotient_exponent(Q) == 6
 
 
 def test_quotient_requires_containment():
@@ -476,6 +478,32 @@ def test_orthogonal_subgroup_matches_the_triple_product(case):
     Q, p = case
     for S in enumerate_subgroups(Q)[:40] + enumerate_mti(Q, p):
         assert orthogonal_subgroup(S, p) == orthogonal_by_triple_product(S, p)
+
+
+_block_forms = st.builds(
+    _torsion_with_form,
+    st.sampled_from([(1, 0), (0, 0), (2, 1), (3, 1), (1, 1)]),
+    st.sampled_from((2, 3)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.one_of(diagonal_pairings(), _block_forms))
+def test_order_rule_matches_the_orthogonal_rule(case):
+    # |S|^2 = |Q| |R| for isotropic S against S^perp ⊆ S, degenerate forms included
+    Q, p = case
+    for S in enumerate_subgroups(Q)[:40] + enumerate_mti(Q, p):
+        assert is_maximal_isotropic(S, p) == mti_by_orthogonal(S, p)
+
+
+def test_maximal_isotropy_refuses_another_lower_lattice():
+    Q, p = torsion_subgroup(standard_principal(1), 2)
+    other = FiniteQuotient(Z2.scaled(2), Z2.scaled(Fraction(1, 2)))
+    assert not is_maximal_isotropic(other, p)  # not isotropic: False first
+    cyclic = FiniteQuotient(Z2.scaled(2), Lattice.from_generators(2, [(1, 0), (0, 2)]))
+    assert is_isotropic(cyclic, p)
+    with pytest.raises(DomainError, match="lower lattice"):
+        is_maximal_isotropic(cyclic, p)
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -87,5 +87,3 @@ def test_report_serialization():
     rep = locus_dimensions(3, 3, 0)
     obj = rep.to_json_obj()
     assert obj["genus_welters_upper"] == "unknown"
-    text = rep.to_text()
-    assert "dim_Ag" in text and "6" in text

@@ -89,7 +89,7 @@ def test_dual_index_is_degree_squared():
 def test_ker_lambda():
     P = standard_principal(2)
     Q, p = ker_lambda(P)
-    assert Q.is_trivial()
+    assert Q.order == 1
     P2 = PolarizedLattice(Lattice.standard(2), symplectic_form(1) * 2)
     Q2, _ = ker_lambda(P2)
     assert Q2.invariants == (2, 2)
@@ -100,7 +100,7 @@ def test_ker_lambda():
 def test_torsion_subgroup():
     P = standard_principal(1)
     Q1, _ = torsion_subgroup(P, 1)
-    assert Q1.is_trivial()
+    assert Q1.order == 1
     Q2, p2 = torsion_subgroup(P, 2)
     assert Q2.invariants == (2, 2)
     assert orthogonal_subgroup(Q2, p2).upper == Q2.lower  # nondegenerate
