@@ -10,8 +10,8 @@ its image exactly when no nonzero multiple of P_1 lies in K.
 The kernel identification expresses X = B-hat/K as a quotient of the base:
 the subgroup [m]^{-1}(Nm-bar(K)) of the base torus is the preimage of K
 saturated by <P_1>; it contains the kernel of the composite map with index m
-in the birational case (equality when P_1 lies in K), and for prime m and
-birational K it equals [m]^{-1}<eta>, of order m^(2g) * m.
+in the birational case (equality when P_1 lies in K), and at every m, for
+birational K, it equals [m]^{-1}<eta>, of order m^(2g) * m.
 """
 
 from symplat import (

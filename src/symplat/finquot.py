@@ -12,7 +12,7 @@ from itertools import product
 from math import isqrt, lcm, prod
 
 from .errors import BudgetError, DomainError
-from .lattice import Lattice, congruence_kernel, lattice_sum
+from .lattice import Lattice, congruence_kernel
 from .matrix import Mat, smith_normal_form
 
 __all__ = [
@@ -117,18 +117,26 @@ class FiniteQuotient:
         """The subgroup generated by the given elements (or raw vectors)."""
         elements = list(elements)
         vecs = [e.rep if isinstance(e, QuotientElement) else tuple(e) for e in elements]
-        enlarged = lattice_sum(self.lower, Lattice.from_generators(self.lower.ambient_dim, vecs)) \
-            if vecs else self.lower
+        enlarged = Lattice.from_generators(
+            self.lower.ambient_dim, self.lower.basis.columns() + vecs
+        )
         if not all(isinstance(e, QuotientElement) and e.parent == self for e in elements) \
                 and not self.upper.contains_lattice(enlarged):
             raise DomainError("generators do not lie in the quotient")
         return FiniteQuotient(self.lower, enlarged)
 
-    def __contains__(self, x):
-        """Whether x, an element of a quotient over ``lower``, lies here: T*x.c integral."""
+    def order_modulo(self, x):
+        """The order of x, an element of a quotient over ``lower``, modulo this subgroup.
+
+        That is the lcm of the denominators of T*x.c, x's upper coordinates.
+        """
         if x.parent.lower != self.lower:
             raise DomainError("element of a quotient over another lower lattice")
-        return _integral(self._coords.apply(x.c))
+        return lcm(*(Fraction(a).denominator for a in self._coords.apply(x.c)))
+
+    def __contains__(self, x):
+        """Whether x, an element of a quotient over ``lower``, lies here."""
+        return self.order_modulo(x) == 1
 
     def is_subgroup_of(self, other):
         return (

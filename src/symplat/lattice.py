@@ -7,10 +7,11 @@ equality of lattices is equality of their basis matrices.
 
 The operations here -- saturation, kernels, indices, sums, preimages -- are
 the exact-arithmetic substrate for all polarization and isogeny computations.
+Every kernel comes from the column reduction ``integer_kernel``; only
+``preimage_lattice``, a preimage over Q, takes a Smith form.
 """
 
 from fractions import Fraction
-from math import gcd
 
 from .errors import DomainError
 from .matrix import Mat, hermite_basis, integer_kernel, smith_normal_form
@@ -32,13 +33,11 @@ class Lattice:
 
     __slots__ = ("ambient_dim", "basis", "_hash")
 
-    def __init__(self, ambient_dim, basis, _canonical=False):
+    def __init__(self, ambient_dim, basis):
         if basis.nrows != ambient_dim:
             raise DomainError("basis rows must match ambient dimension")
-        if not _canonical:
-            basis = hermite_basis(basis)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", hermite_basis(basis))
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -47,7 +46,7 @@ class Lattice:
     @staticmethod
     def standard(n):
         """Z^n inside Q^n."""
-        return Lattice(n, Mat.identity(n), _canonical=True)
+        return Lattice(n, Mat.identity(n))
 
     @staticmethod
     def from_generators(ambient_dim, vectors):
@@ -135,16 +134,13 @@ def saturate(vectors, L):
     is saturated in L (the quotient by it is torsion-free) and depends only on
     the span of the vectors.
     """
-    vecs = [tuple(v) for v in vectors]
-    if not vecs:
-        return Lattice(L.ambient_dim, Mat.from_columns([], nrows=L.ambient_dim))
-    S = Mat.from_columns(vecs, nrows=L.ambient_dim)
+    S = Mat.from_columns([tuple(v) for v in vectors], nrows=L.ambient_dim)
     try:
         L.coords_matrix(S)
     except DomainError:
         raise DomainError("spanning vector outside the span of the lattice")
-    # annihilator rows of span(S): kernel of S^T
-    ann = S.T.kernel_basis()
+    # annihilator rows of span(S): the integer kernel of d * S^T
+    ann = integer_kernel(S.T * S.denominator_lcm())
     return kernel_lattice(ann.T, L)
 
 
@@ -155,7 +151,7 @@ def kernel_lattice(f, L):
     composed = f * L.basis
     d = composed.denominator_lcm()
     K = integer_kernel(composed * d if d != 1 else composed)
-    return Lattice(L.ambient_dim, L.basis * K, _canonical=False)
+    return Lattice(L.ambient_dim, L.basis * K)
 
 
 def index(L, Lp):
@@ -181,8 +177,6 @@ def lattice_intersection(L1, L2):
     """The intersection of two lattices in the same ambient space."""
     if L1.ambient_dim != L2.ambient_dim:
         raise DomainError("ambient dimension mismatch in intersection")
-    if L1.rank == 0 or L2.rank == 0:
-        return Lattice(L1.ambient_dim, Mat.from_columns([], nrows=L1.ambient_dim))
     stacked = L1.basis.hstack(-L2.basis)
     d = stacked.denominator_lcm()
     K = integer_kernel(stacked * d if d != 1 else stacked)
@@ -191,16 +185,15 @@ def lattice_intersection(L1, L2):
 
 
 def congruence_kernel(A, d):
-    """Basis of {c in Z^n : A c ≡ 0 (mod d)} for an integer matrix A."""
+    """Basis of {c in Z^n : A c ≡ 0 (mod d)} for an integer matrix A.
+
+    The first n rows of the integer kernel of [A | d I]: A c + d t = 0 fixes
+    t, so dropping it maps that kernel isomorphically onto the solutions c.
+    """
     if not A.is_integral():
         raise DomainError("congruence_kernel requires an integer matrix")
-    _, D, V = smith_normal_form(A)
-    n = A.ncols
-    scale = []
-    for i in range(n):
-        di = D.rows[i][i] if i < D.nrows else 0
-        scale.append(d // gcd(di, d))
-    return V * Mat.diagonal(scale)
+    K = integer_kernel(A.hstack(Mat.diagonal((d,) * A.nrows)))
+    return Mat(K.rows[: A.ncols], ncols=K.ncols)
 
 
 def preimage_lattice(M, target):
@@ -208,8 +201,6 @@ def preimage_lattice(M, target):
 
     The columns of M must land in the span of ``target``.
     """
-    if M.rank() != M.ncols:
-        raise DomainError("preimage_lattice requires an injective matrix")
     W = target.coords_matrix(M)  # target-basis coordinates of M's columns
     d = W.denominator_lcm()
     _, D, V = smith_normal_form(W * d)

@@ -9,9 +9,10 @@ bit for bit.  The Smith reduction works in one augmented array
 
 Rational work runs on Python ints: a product scales each factor by the lcm of
 its denominators and divides once at the end, and ``rref``, ``rank``, ``det``,
-``inverse``, ``solve`` and ``kernel_basis`` all read their results off one
-fraction-free (Bareiss) Gauss–Jordan elimination, whose every division is
-exact.  The results are unique, so they do not depend on the pivot order.
+``inverse`` and ``solve`` all read their results off one fraction-free
+(Bareiss) Gauss–Jordan elimination, whose every division is exact.  The
+results are unique, so they do not depend on the pivot order.  Integer
+kernels come from one column reduction, ``integer_kernel``.
 """
 
 from fractions import Fraction
@@ -318,19 +319,6 @@ class Mat:
         for row, c in zip(a, pivots):
             sol[c] = tuple(_q(x, den) for x in row[n:])
         return Mat._trusted(tuple(sol), k)
-
-    def kernel_basis(self):
-        """A basis of the rational kernel {x : self*x = 0}, as columns."""
-        a, den, pivots = _gauss_jordan(self.rows, self.ncols)
-        n = self.ncols
-        cols = []
-        for fc in (c for c in range(n) if c not in pivots):
-            v = [0] * n
-            v[fc] = 1
-            for row, c in zip(a, pivots):
-                v[c] = _q(-row[fc], den)
-            cols.append(v)
-        return Mat.from_columns(cols, nrows=n)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)

@@ -141,11 +141,9 @@ class PolarizedLattice:
         return f"PolarizedLattice(dim={self.dim}, type={polarization_type(self).chain})"
 
 
-def symplectic_form(g, ambient_dim=None):
+def symplectic_form(g):
     """The standard symplectic form J_g = [[0, I], [-I, 0]] on Q^(2g)."""
-    n = 2 * g if ambient_dim is None else ambient_dim
-    if n < 2 * g:
-        raise DomainError("ambient dimension too small")
+    n = 2 * g
     rows = [[0] * n for _ in range(n)]
     for i in range(g):
         rows[i][g + i] = 1

@@ -10,6 +10,7 @@ from itertools import combinations, product
 from math import gcd, lcm, prod
 
 import pytest
+import sympy
 from hypothesis import strategies as st
 
 from symplat.cli import EXIT_OK, EXIT_VALIDATION
@@ -32,7 +33,13 @@ from symplat.finquot import (
     preimage_under_mult,
 )
 from symplat.jsonio import SCHEMA, dumps_canonical, welters_report
-from symplat.lattice import Lattice, congruence_kernel, lattice_sum, preimage_lattice
+from symplat.lattice import (
+    Lattice,
+    congruence_kernel,
+    kernel_lattice,
+    lattice_sum,
+    preimage_lattice,
+)
 from symplat.matrix import Mat, hermite_column_form, smith_normal_form, xgcd
 from symplat.pollat import polarization_type
 
@@ -154,6 +161,26 @@ def canonical_basis_oracle(basis):
     scaled = basis * d if d != 1 else basis
     H = hermite_column_form(Mat(scaled.rows, ncols=scaled.ncols))
     return H * Fraction(1, d) if d != 1 else H
+
+
+def congruence_kernel_by_smith(A, d):
+    """{c in Z^n : A c ≡ 0 (mod d)} as ``congruence_kernel`` built it before.
+
+    From A's Smith form U A V = D: c = V y solves it iff d_i y_i ≡ 0 (mod d)
+    for each i, so V diag(d / gcd(d_i, d)) is a basis (d_i = 0 past the rank).
+    """
+    _, D, V = smith_normal_form(A)
+    scale = [d // gcd(D.rows[i][i] if i < D.nrows else 0, d) for i in range(A.ncols)]
+    return V * Mat.diagonal(scale)
+
+
+def saturate_by_rational_kernel(vectors, L):
+    """L ∩ span(vectors), with the annihilator of the span from sympy's ``nullspace``."""
+    n = L.ambient_dim
+    vecs = [tuple(v) for v in vectors]
+    St = sympy.Matrix(len(vecs), n, [sympy.Rational(x) for v in vecs for x in v])
+    ann = [[Fraction(int(x.p), int(x.q)) for x in v] for v in St.nullspace()]
+    return kernel_lattice(Mat(ann, ncols=n), L)
 
 
 def snf_order(Q):
@@ -423,6 +450,11 @@ def birational_by_membership(K, P1):
     """Whether l * P_1 lies outside K for every l = 1, ..., m-1: m - 1 membership tests."""
     m = P1.order()
     return not any(ell * P1 in K for ell in range(1, m))
+
+
+def order_modulo_by_coordinates(K, x):
+    """The order of x modulo K as ``covers`` read it off K's private coordinates."""
+    return lcm(*(Fraction(a).denominator for a in K._coords.apply(x.c)))
 
 
 def kernel_identification_by_lattices(cov, K):

@@ -407,6 +407,62 @@ def test_deeply_nested_fixture_is_unreadable(tmp_path):
     assert text.startswith("invalid input: cannot read fixture: ")
 
 
+_FIXTURE22 = cover_to_obj(standard_cover(2, 2))
+_huge = st.one_of(st.integers(2**31, 2**200), st.integers(-(2**200), -(2**31)))
+_junk = st.one_of(
+    st.none(), st.booleans(), _huge, st.floats(allow_nan=False), st.text(max_size=3),
+    st.lists(st.integers(-3, 3), max_size=3), st.dictionaries(st.text(max_size=2), st.integers()),
+)
+
+
+@st.composite
+def fixture_edits(draw):
+    """One edit of the (2, 2) fixture: a dropped or retyped key, a dart or a
+    voltage out of range, a huge int, or a base graph split in two."""
+    obj = json.loads(json.dumps(_FIXTURE22))
+    key = draw(st.sampled_from(sorted(obj)))
+    part = draw(st.sampled_from(["base", "total"]))
+    kind = draw(st.sampled_from(
+        ["drop", "drop-nested", "retype", "retype-nested", "dart", "voltage", "huge",
+         "disconnect"]
+    ))
+    if kind == "drop":
+        del obj[key]
+    elif kind == "drop-nested":
+        del obj[part][draw(st.sampled_from(sorted(obj[part])))]
+    elif kind == "retype":
+        obj[key] = draw(_junk)
+    elif kind == "retype-nested":
+        obj[part][draw(st.sampled_from(sorted(obj[part])))] = draw(_junk)
+    elif kind == "dart":
+        rot = obj["base_rotations"][0]
+        rot[draw(st.integers(0, len(rot) - 1))] = draw(st.integers(-3, 12) | _huge)
+    elif kind == "voltage":
+        volts = obj["voltages"]
+        volts[draw(st.integers(0, len(volts) - 1))] = draw(st.integers(-3, 5) | _huge)
+    elif kind == "huge":
+        obj[draw(st.sampled_from(["g", "m", "n_edges"]))] = draw(_huge)
+    else:
+        # both darts of each drawn edge on one vertex, the others on a second
+        darts = obj["base_rotations"][0]
+        edges = draw(st.sets(st.integers(0, obj["n_edges"] - 1), min_size=1,
+                             max_size=obj["n_edges"] - 1))
+        obj["base_rotations"] = [[d for d in darts if d // 2 in edges],
+                                 [d for d in darts if d // 2 not in edges]]
+    return obj
+
+
+@settings(max_examples=40, deadline=None)
+@given(obj=fixture_edits(), wrapped=st.booleans())
+def test_fuzzed_fixtures_exit_cleanly(tmp_path_factory, obj, wrapped):
+    path = tmp_path_factory.mktemp("fuzz") / "cover.json"
+    path.write_text(json.dumps({"fixture": obj} if wrapped else obj))
+    start = time.monotonic()
+    code, text = run(["welters", str(path)])
+    assert code in (EXIT_OK, EXIT_CERTIFICATION, EXIT_BUDGET, EXIT_VALIDATION), text
+    assert time.monotonic() - start < 1
+
+
 @pytest.mark.parametrize("target", ["missing/report.json", ""], ids=["no-such-dir", "a-dir"])
 def test_unwritable_out_exits_3(tmp_path, target):
     code, text = run(["dims", "--g", "2", "--m", "2", "--out", str(tmp_path / target)])

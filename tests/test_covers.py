@@ -12,7 +12,6 @@ from symplat.covers import (
     RibbonGraph,
     VoltageAssignment,
     _eta_preimage,
-    _order_modulo,
     _power_and_sum,
     _transfer_preimage,
     birational_predicate,
@@ -323,7 +322,7 @@ def _assert_noncyclic_lagrangians_not_birational(cov):
     assert len(found) == sum(d for d in range(1, cov.m + 1) if cov.m % d == 0)
     for K in found:
         if len(K.invariants) == 2:
-            assert _order_modulo(K, P1) < cov.m
+            assert K.order_modulo(P1) < cov.m
 
 
 @pytest.mark.parametrize("m", [4, 8, 9])
@@ -484,7 +483,7 @@ def test_k_plus_p1_is_lifted_only_strictly_between_k_and_ker_mu(monkeypatch):
     _, P1, _ = ker_mu_basis(cov)
     labeled = classify_mti_K(cov)
     K = dict(labeled)[(2, 1)]
-    assert _order_modulo(K, P1) == 2 and K.order * 2 < Q.order
+    assert K.order_modulo(P1) == 2 and K.order * 2 < Q.order
     expected = {label: kernel_identification_by_lattices(cov, K) for label, K in labeled}
     lifted = []
     subgroup = FiniteQuotient.subgroup

@@ -35,6 +35,7 @@ from conftest import (
     generator_enumerate,
     library_subgroup_as_set,
     mti_by_orthogonal,
+    order_modulo_by_coordinates,
     orthogonal_by_triple_product,
     quotient_exponent,
     quotient_as_table,
@@ -384,6 +385,29 @@ def _check_against_oracle(Q, data):
 @given(Q=nested_quotients(), data=st.data())
 def test_order_and_elements_against_oracle(Q, data):
     _check_against_oracle(Q, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(Q=nested_quotients(), data=st.data())
+def test_order_modulo_against_the_coordinates_and_membership(Q, data):
+    B, r = Q.upper.basis, Q.upper.rank
+    coeffs = st.lists(st.integers(-6, 6), min_size=r, max_size=r)
+    x = Q.element(B.apply(data.draw(coeffs)))
+    S = Q.subgroup([B.apply(data.draw(coeffs)) for _ in range(data.draw(st.integers(0, 2)))])
+    k = S.order_modulo(x)
+    assert k == order_modulo_by_coordinates(S, x)
+    # the least k >= 1 with k x in S, asked of S.upper directly
+    assert k == next(j for j in range(1, x.order() + 1) if S.upper.contains_vector((j * x).rep))
+    assert (x in S) == (k == 1) == S.upper.contains_vector(x.rep)
+    assert Q.order_modulo(x) == 1 and x in Q
+
+
+def test_order_modulo_refuses_another_lower_lattice():
+    Q, _ = torsion_subgroup(standard_principal(1), 2)
+    x = FiniteQuotient(Z2.scaled(2), Z2).element((1, 0))
+    for ask in (Q.order_modulo, Q.__contains__):
+        with pytest.raises(DomainError, match="^element of a quotient over another lower lattice$"):
+            ask(x)
 
 
 _TORSION_SUBGROUPS = {}

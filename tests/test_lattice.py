@@ -2,10 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import smith_normal_form
 
 from symplat.errors import DomainError
 from symplat.finquot import FiniteQuotient
@@ -21,7 +24,11 @@ from symplat.lattice import (
 )
 from symplat.matrix import Mat
 
-from conftest import canonical_basis_oracle
+from conftest import (
+    canonical_basis_oracle,
+    congruence_kernel_by_smith,
+    saturate_by_rational_kernel,
+)
 
 
 Z2 = Lattice.standard(2)
@@ -193,3 +200,83 @@ def test_canonical_basis_against_oracle(M):
     # every generator is an integer combination of the basis
     if M.ncols and L.rank:
         assert L.coords_matrix(M).is_integral()
+
+
+# -- the column-reduction kernels against the Smith and rational oracles -----
+
+@st.composite
+def congruence_systems(draw):
+    """(A, d): an integer A up to 4 x 5, with zero rows and 0-row or 0-column
+    shapes, and a modulus d in 2..12, composite ones included."""
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    rows = [[draw(st.integers(-12, 12)) for _ in range(n)] for _ in range(m)]
+    if m and draw(st.booleans()):
+        rows[draw(st.integers(0, m - 1))] = [0] * n
+    return Mat(rows, ncols=n), draw(st.integers(2, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(congruence_systems())
+def test_congruence_kernel_against_smith_oracle(system):
+    A, d = system
+    K = congruence_kernel(A, d)
+    n = A.ncols
+    assert (K.nrows, K.ncols) == (n, n) and K.is_integral()
+    assert all(x % d == 0 for row in (A * K).rows for x in row)
+    assert Lattice(n, K) == Lattice(n, congruence_kernel_by_smith(A, d))
+
+
+@st.composite
+def vectors_in_lattices(draw):
+    """(vectors, L): L spanned by a drawn rational matrix, and up to rank + 1
+    rational combinations of its basis (none at all included)."""
+    M = draw(generator_matrices())
+    L = Lattice(M.nrows, M)
+    k = draw(st.integers(0, L.rank + 1))
+    coeffs = [[draw(_entries) for _ in range(L.rank)] for _ in range(k)]
+    return [L.basis.apply(c) for c in coeffs], L
+
+
+@settings(max_examples=150, deadline=None)
+@given(vectors_in_lattices())
+def test_saturate_against_rational_kernel_oracle(case):
+    vectors, L = case
+    S = saturate(vectors, L)
+    assert S == saturate_by_rational_kernel(vectors, L)
+    assert L.contains_lattice(S) and S.rank == Mat.from_columns(
+        vectors, nrows=L.ambient_dim
+    ).rank()
+
+
+# -- lattice laws on drawn full-rank lattices, against sympy's Smith form ----
+
+@st.composite
+def full_rank_lattices(draw, n):
+    M = Mat([[draw(_entries) for _ in range(n)] for _ in range(n)], ncols=n)
+    assume(M.det() != 0)
+    return Lattice(n, M)
+
+
+def smith_index(L, Lp):
+    """[Lp : L] as the product of sympy's Smith diagonal of L in Lp-coordinates."""
+    T = Lp.coords_matrix(L.basis)
+    D = smith_normal_form(Matrix(T.nrows, T.ncols, [int(x) for row in T.rows for x in row]))
+    return abs(prod(D[i, i] for i in range(T.nrows)))
+
+
+@settings(max_examples=60, deadline=5000)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(full_rank_lattices(n), full_rank_lattices(n))))
+def test_sum_and_intersection_indices(pair):
+    L, M = pair
+    total, meet = lattice_sum(L, M), lattice_intersection(L, M)
+    assert index(L, total) == index(meet, M)
+    assert index(L, total) == smith_index(L, total)
+    assert index(meet, M) == smith_index(meet, M)
+
+
+@settings(max_examples=60, deadline=5000)
+@given(vectors_in_lattices())
+def test_saturate_is_idempotent_on_drawn_lattices(case):
+    vectors, L = case
+    S = saturate(vectors, L)
+    assert saturate(S.basis.columns(), L) == S

@@ -158,13 +158,6 @@ def test_solve_inconsistent():
         A.solve(Mat.column((1, 2)))
 
 
-def test_kernel_basis_rational():
-    A = Mat([[1, 2, 3]])
-    K = A.kernel_basis()
-    assert K.ncols == 2
-    assert (A * K).is_zero()
-
-
 def test_mat_immutable():
     M = Mat.identity(2)
     with pytest.raises(AttributeError):
@@ -292,26 +285,6 @@ def test_solve_against_oracles(data):
     if B.ncols:
         assert X.rows == sympy_sol
     assert A * X == B
-
-
-@settings(max_examples=150, deadline=None)
-@given(rational_matrices())
-def test_kernel_basis_against_oracles(M):
-    K = M.kernel_basis()
-    assert_normalized(K)
-    red, pivots = fraction_rref(M)
-    free = [c for c in range(M.ncols) if c not in pivots]
-    assert K.ncols == len(free)
-    for fc, col in zip(free, K.columns()):
-        v = [Fraction(0)] * M.ncols
-        v[fc] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][fc]
-        assert col == tuple(v)
-    assert K.columns() == [
-        from_sympy(v.T)[0] for v in to_sympy(M).nullspace()
-    ]
-    assert (M * K).is_zero()
 
 
 @settings(max_examples=150, deadline=None)
