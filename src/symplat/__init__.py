@@ -30,7 +30,6 @@ from .finquot import (
     is_isotropic,
     is_maximal_isotropic,
     orthogonal_subgroup,
-    preimage_under_mult,
 )
 from .pollat import (
     LatticeMap,

@@ -15,6 +15,7 @@ certification failure, 2 enumeration budget exceeded, 3 input validation.
 import argparse
 import json
 import sys
+from reprlib import repr as short_repr
 
 from .comppair import ker_mu_of_pair, welters_construct
 from .covers import (
@@ -213,11 +214,11 @@ def _parse_label(text, m):
     raw = text.strip().lstrip("(").rstrip(")")
     parts = raw.split(":")
     if len(parts) != 2:
-        raise DomainError(f"malformed K label {text!r}; expected a:b")
+        raise DomainError(f"malformed K label {short_repr(text)}; expected a:b")
     try:
         a, b = (int(p) % m for p in parts)
     except ValueError:
-        raise DomainError(f"malformed K label {text!r}; expected integers a:b")
+        raise DomainError(f"malformed K label {short_repr(text)}; expected integers a:b")
     return (a, b)
 
 

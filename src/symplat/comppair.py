@@ -197,7 +197,7 @@ def welters_construct(pair, K, m):
         raise DomainError("m must be >= 1")
     ambient = pair.ambient
     Qmu, pmu = ker_mu_of_pair(pair, m)
-    if K.lower != Qmu.lower or not K.is_subgroup_of(Qmu):
+    if not K.is_subgroup_of(Qmu):
         raise DomainError("K is not presented as a subgroup of ker μ_B")
     if not is_maximal_isotropic(K, pmu):
         raise IsotropyError("K is not maximal totally isotropic in ker μ_B")

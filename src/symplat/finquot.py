@@ -3,8 +3,10 @@
 This is where torsion subgroups, kernels of polarization maps and their
 Q/Z-valued pairings live, together with exhaustive subgroup enumeration and
 the maximal-totally-isotropic (m.t.i.) machinery that drives every isogeny
-quotient in the package.  The order of L'/L is |det T| for T the L'-basis
-coordinates of the L basis; elements are kept as their L-basis coordinates.
+quotient in the package.  One solve gives T, the L'-basis coordinates of the
+L basis; both bases are column Hermite forms, so T is lower triangular and
+|L'/L| is the product of its diagonal.  Elements are kept as their L-basis
+coordinates.
 """
 
 from fractions import Fraction
@@ -12,7 +14,7 @@ from itertools import product
 from math import isqrt, lcm, prod
 
 from .errors import BudgetError, DomainError
-from .lattice import Lattice, congruence_kernel
+from .lattice import Lattice, _inclusion, congruence_kernel
 from .matrix import Mat, smith_normal_form
 
 __all__ = [
@@ -24,7 +26,6 @@ __all__ = [
     "is_isotropic",
     "orthogonal_subgroup",
     "is_maximal_isotropic",
-    "preimage_under_mult",
     "DEFAULT_BUDGET",
 ]
 
@@ -34,24 +35,13 @@ DEFAULT_BUDGET = 2**16
 class FiniteQuotient:
     """The finite abelian group upper/lower for nested equal-span lattices."""
 
-    __slots__ = ("lower", "upper", "_coords", "_order", "_snf", "_hash")
+    __slots__ = ("lower", "upper", "_coords", "_snf", "_hash")
 
     def __init__(self, lower, upper):
-        if lower.ambient_dim != upper.ambient_dim:
-            raise DomainError("quotient lattices live in different ambient spaces")
-        # one solve: equal rank and lower in span(upper) mean equal span
-        try:
-            if lower.rank != upper.rank:
-                raise DomainError("rank mismatch")
-            T = upper.coords_matrix(lower.basis)
-        except DomainError:
-            raise DomainError("quotient lattices must have equal rational span")
-        if not T.is_integral():
-            raise DomainError("lower lattice is not contained in the upper one")
+        T = _inclusion(lower, upper)  # the one solve: lower.basis = upper.basis * T
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "_coords", T)
-        object.__setattr__(self, "_order", None)
         object.__setattr__(self, "_snf", None)
         object.__setattr__(self, "_hash", None)
 
@@ -59,20 +49,21 @@ class FiniteQuotient:
         raise AttributeError("FiniteQuotient is immutable")
 
     def _adapted(self):
-        """(W, diag): a basis W of `upper` with lower = W * diag(d1..dr)."""
+        """(W, diag): a basis W of `upper` with lower = W * diag(d1..dr).
+
+        U T V = D gives W = upper U^-1 = lower V D^-1, so no inverse is taken.
+        """
         if self._snf is None:
-            U, D, _ = smith_normal_form(self._coords)
-            W = self.upper.basis * U.inverse()
+            _, D, V = smith_normal_form(self._coords)
             diag = tuple(D.rows[i][i] for i in range(D.nrows))
+            W = self.lower.basis * (V * Mat.diagonal(Fraction(1, d) for d in diag))
             object.__setattr__(self, "_snf", (W, diag))
         return self._snf
 
     @property
     def order(self):
-        """|det T|, T the upper-basis coordinates of the lower basis."""
-        if self._order is None:
-            object.__setattr__(self, "_order", abs(self._coords.det()))
-        return self._order
+        """The product of the diagonal of T, the upper coordinates of the lower basis."""
+        return prod(row[i] for i, row in enumerate(self._coords.rows))
 
     @property
     def invariants(self):
@@ -251,13 +242,6 @@ class PairingOnQuotient:
         return raw - (raw.numerator // raw.denominator)
 
 
-def preimage_under_mult(S, m):
-    """The preimage of the subgroup S under multiplication by m on the torus."""
-    if m < 1:
-        raise DomainError("multiplication level must be >= 1")
-    return FiniteQuotient(S.lower, S.upper.scaled(Fraction(1, m)))
-
-
 def is_isotropic(S, p):
     """True iff the pairing vanishes on S x S (checked on lattice generators)."""
     B = S.upper.basis
@@ -307,9 +291,9 @@ def _enumerate(Q, budget, p=None):
     placement is tested at once: d_j e_j must lie in their span (forward
     substitution) and, given p, the new column must pair integrally with the
     placed ones and prod(h) must stay able to reach its m.t.i. value (see
-    ``enumerate_mti``).  Each subgroup is given its order prod(d) / prod(h),
-    so no det is taken.  BudgetError once |Q| or the number of column
-    placements tried exceeds budget.
+    ``enumerate_mti``).  Each subgroup is built as a FiniteQuotient, whose
+    order prod(d) / prod(h) is read off its own Hermite diagonal.  BudgetError
+    once |Q| or the number of column placements tried exceeds budget.
     """
     if Q.order > budget:
         raise BudgetError(f"group of order {Q.order} exceeds budget {budget}")
@@ -339,9 +323,7 @@ def _enumerate(Q, budget, p=None):
         if j < 0:
             gens = (Wsub * Mat(H, ncols=k)).columns() + trivial_cols
             M = Lattice.from_generators(Q.lower.ambient_dim, gens) if gens else Q.lower
-            S = FiniteQuotient(Q.lower, M)
-            object.__setattr__(S, "_order", prod(d) // placed)
-            out.append(S)
+            out.append(FiniteQuotient(Q.lower, M))
             return
         for h in _divisors(d[j]):
             if p is not None:

@@ -8,6 +8,7 @@ repeated runs byte-identical.
 
 import json
 from fractions import Fraction
+from reprlib import repr as short_repr
 
 from .covers import RibbonGraph, VoltageAssignment, cyclic_cover
 from .errors import DomainError
@@ -46,7 +47,7 @@ def frac_from_str(s):
             return Fraction(int(num), int(den))
         return int(s)
     except (ValueError, ZeroDivisionError):
-        raise DomainError(f"malformed exact number {s!r}")
+        raise DomainError(f"malformed exact number {short_repr(s)}")
 
 
 def mat_to_obj(M):
@@ -145,7 +146,8 @@ def cover_from_obj(obj):
         part = obj.get(key)
         # refused before decoding, which builds one row per ambient dimension
         if isinstance(part, dict) and part.get("ambient_dim") != polarized.ambient_dim:
-            raise DomainError(f"fixture {key!r} has ambient_dim {part.get('ambient_dim')!r}, "
+            raise DomainError(f"fixture {key!r} has ambient_dim "
+                              f"{short_repr(part.get('ambient_dim'))}, "
                               f"not the rebuilt cover's {polarized.ambient_dim}")
         if polarized_from_obj(part) != polarized:
             raise DomainError(f"fixture {key} lattice disagrees with the rebuilt cover")

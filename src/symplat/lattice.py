@@ -8,10 +8,12 @@ equality of lattices is equality of their basis matrices.
 The operations here -- saturation, kernels, indices, sums, preimages -- are
 the exact-arithmetic substrate for all polarization and isogeny computations.
 Every kernel comes from the column reduction ``integer_kernel``; only
-``preimage_lattice``, a preimage over Q, takes a Smith form.
+``preimage_lattice``, a preimage over Q, takes a Smith form.  An index is
+the product of a diagonal, read off one solve (``_inclusion``).
 """
 
 from fractions import Fraction
+from math import prod
 
 from .errors import DomainError
 from .matrix import Mat, hermite_basis, integer_kernel, smith_normal_form
@@ -92,34 +94,27 @@ class Lattice:
         except DomainError:
             raise DomainError("columns are not in the span of the lattice")
 
-    def span_contains(self, vector):
+    def _coords_or_none(self, M):
+        """``coords_matrix`` of M, a matrix or one vector; None where it raises."""
         try:
-            self.coords_of(vector)
-            return True
+            return self.coords_matrix(M if isinstance(M, Mat) else Mat.column(M))
         except DomainError:
-            return False
+            return None
+
+    def span_contains(self, vector):
+        return self._coords_or_none(vector) is not None
 
     def contains_vector(self, vector):
-        try:
-            coords = self.coords_of(vector)
-        except DomainError:
-            return False
-        return all(isinstance(c, int) or c.denominator == 1 for c in coords)
+        coords = self._coords_or_none(vector)
+        return coords is not None and coords.is_integral()
 
     def contains_lattice(self, other):
-        if other.ambient_dim != self.ambient_dim:
-            return False
-        try:
-            return self.coords_matrix(other.basis).is_integral()
-        except DomainError:
-            return False
+        coords = self._coords_or_none(other.basis)
+        return coords is not None and coords.is_integral()
 
     def same_span(self, other):
-        return (
-            self.ambient_dim == other.ambient_dim
-            and self.rank == other.rank
-            and all(self.span_contains(other.basis.col(j)) for j in range(other.rank))
-        )
+        # equal rank and other inside the span of self: one solve
+        return self.rank == other.rank and self._coords_or_none(other.basis) is not None
 
     # -- constructions -------------------------------------------------------
 
@@ -154,17 +149,26 @@ def kernel_lattice(f, L):
     return Lattice(L.ambient_dim, L.basis * K)
 
 
+def _inclusion(L, Lp):
+    """T with L.basis = Lp.basis * T, for lattices L ⊆ Lp of equal rational span.
+
+    Both bases are column Hermite forms of one span, so they pivot on the same
+    rows, and on those rows both are lower triangular with a positive
+    diagonal.  Hence so is T, and [Lp : L] = prod(T_ii) (Cohen, GTM 138, §2.4).
+    """
+    if L.ambient_dim != Lp.ambient_dim:
+        raise DomainError("nested lattices live in different ambient spaces")
+    T = Lp._coords_or_none(L.basis) if L.rank == Lp.rank else None
+    if T is None:
+        raise DomainError("nested lattices must have equal rational span")
+    if not T.is_integral():
+        raise DomainError("lower lattice is not contained in the upper one")
+    return T
+
+
 def index(L, Lp):
     """The index [Lp : L] of nested lattices of equal span."""
-    if not Lp.same_span(L):
-        raise DomainError("index requires equal rational spans")
-    T = Lp.coords_matrix(L.basis)
-    if not T.is_integral():
-        raise DomainError("index requires containment L ⊆ Lp")
-    det = T.det()
-    if det == 0:
-        raise DomainError("degenerate inclusion")
-    return abs(det)
+    return prod(row[i] for i, row in enumerate(_inclusion(L, Lp).rows))
 
 
 def lattice_sum(L1, L2):

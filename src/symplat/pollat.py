@@ -287,7 +287,7 @@ def adjoint_map(f, P_src, P_dst):
     """
     if f.source != P_src.lattice:
         raise DomainError("map source disagrees with the source polarized lattice")
-    if not P_dst.lattice.contains_lattice(f.target) and f.target != P_dst.lattice:
+    if not P_dst.lattice.contains_lattice(f.target):
         raise DomainError("map target disagrees with the target polarized lattice")
     Bs, Bd = P_src.lattice.basis, P_dst.lattice.basis
     gram_s = P_src.gram()

@@ -30,7 +30,6 @@ from symplat.finquot import (
     enumerate_subgroups,
     is_isotropic,
     orthogonal_subgroup,
-    preimage_under_mult,
 )
 from symplat.jsonio import SCHEMA, dumps_canonical, welters_report
 from symplat.lattice import (
@@ -187,6 +186,23 @@ def snf_order(Q):
     """|Q| as the product of the Smith diagonal of the lower basis in upper coordinates."""
     _, D, _ = smith_normal_form(Q.upper.coords_matrix(Q.lower.basis))
     return prod(D.rows[i][i] for i in range(D.nrows))
+
+
+def preimage_under_mult(S, m):
+    """The preimage [m]^{-1} S of a subgroup S: its upper lattice scaled by 1/m."""
+    return FiniteQuotient(S.lower, S.upper.scaled(Fraction(1, m)))
+
+
+def same_span_by_rank(L, M):
+    """Whether L and M span one subspace: rank L = rank M = rank [L | M], by sympy."""
+    if L.ambient_dim != M.ambient_dim:
+        return False
+
+    def rank(B):
+        entries = [sympy.Rational(x) for row in B.rows for x in row]
+        return sympy.Matrix(B.nrows, B.ncols, entries).rank()
+
+    return rank(L.basis) == rank(M.basis) == rank(L.basis.hstack(M.basis))
 
 
 def quotient_exponent(Q):

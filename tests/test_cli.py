@@ -195,6 +195,34 @@ def test_welters_fixture_ambient_dim_is_refused_before_decoding(tmp_path, fixtur
     assert time.monotonic() - start < 1
 
 
+def _ambient_dim_list(obj):
+    obj["base"]["ambient_dim"] = list(range(200000))
+
+
+def _long_matrix_entry(obj):
+    obj["sigma"]["rows"][0][0] = "x" * 100000
+
+
+@pytest.mark.parametrize(
+    "edit, label, prefix",
+    [
+        (_ambient_dim_list, "1:0", "invalid input: fixture 'base' has ambient_dim [0, 1, "),
+        (_long_matrix_entry, "1:0", "invalid input: malformed exact number 'xxx"),
+        (None, "1:" + "x" * 100000, "invalid input: malformed K label '1:xxx"),
+    ],
+    ids=["ambient_dim", "matrix-entry", "K-label"],
+)
+def test_echoed_input_is_bounded(tmp_path, fixture22, edit, label, prefix):
+    obj = json.loads(json.dumps(fixture22))
+    if edit:
+        edit(obj)
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"fixture": obj}))
+    code, text = run(["welters", str(path), "--K", label])
+    assert code == EXIT_VALIDATION, text[:300]
+    assert text.startswith(prefix) and len(text) < 200, text[:300]
+
+
 def test_cover_identities_come_from_the_checks(monkeypatch):
     cov = standard_cover(2, 2)
     assert set(cov.certificate) == {name for _, name in cli._COVER_IDENTITIES} | {

@@ -29,7 +29,7 @@ from symplat.covers import (
     verify_kernel_identification,
 )
 from symplat.errors import DomainError
-from symplat.finquot import FiniteQuotient, enumerate_mti, preimage_under_mult
+from symplat.finquot import FiniteQuotient, enumerate_mti
 from symplat.lattice import Lattice, kernel_lattice, lattice_sum, saturate
 from symplat.matrix import Mat
 from symplat.pollat import ker_lambda, polarization_type
@@ -40,6 +40,7 @@ from conftest import (
     dense_chain_maps,
     kernel_identification_by_lattices,
     power_and_sum_by_steps,
+    preimage_under_mult,
     subdivided_surface,
     voltage_covers,
 )

@@ -289,3 +289,16 @@ def test_certification_errors_are_raised_by_certify_only():
         for site in _certification_raises(ast.parse(path.read_text()))
     }
     assert found == allowed, sorted(found ^ allowed)
+
+
+def test_object_setattr_writes_only_into_self():
+    # an immutable object fills its own slots; no module writes into another's
+    found = [
+        (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "object.__setattr__"
+        and not (node.args and ast.unparse(node.args[0]) == "self")
+    ]
+    assert found == []

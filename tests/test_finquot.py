@@ -16,7 +16,6 @@ from symplat.finquot import (
     is_isotropic,
     is_maximal_isotropic,
     orthogonal_subgroup,
-    preimage_under_mult,
 )
 from symplat.lattice import Lattice
 from symplat.matrix import Mat
@@ -37,6 +36,7 @@ from conftest import (
     mti_by_orthogonal,
     order_modulo_by_coordinates,
     orthogonal_by_triple_product,
+    preimage_under_mult,
     quotient_exponent,
     quotient_as_table,
     snf_order,

@@ -27,6 +27,7 @@ from symplat.matrix import Mat
 from conftest import (
     canonical_basis_oracle,
     congruence_kernel_by_smith,
+    same_span_by_rank,
     saturate_by_rational_kernel,
 )
 
@@ -146,6 +147,11 @@ def test_rank_zero_lattice():
     assert Z0.rank == 0
     assert Z0.contains_vector((0, 0, 0))
     assert not Z0.contains_vector((1, 0, 0))
+    assert index(Z0, Z0) == 1
+    Q = FiniteQuotient(Z0, Z0)
+    W, diag = Q._adapted()
+    assert (Q.order, Q.invariants, diag) == (1, (), ())
+    assert (W.nrows, W.ncols) == (3, 0)
 
 
 def test_congruence_kernel():
@@ -280,3 +286,107 @@ def test_saturate_is_idempotent_on_drawn_lattices(case):
     vectors, L = case
     S = saturate(vectors, L)
     assert saturate(S.basis.columns(), L) == S
+
+
+# -- nested lattices: one solve, the index read off the Hermite diagonal -----
+
+@st.composite
+def nested_lattices(draw):
+    """(L, Lp, pivots): L ⊆ Lp of rank r < n whose bases pivot on the drawn
+    rows ``pivots``, never rows 0..r-1.  Each other row of Lp's generators is
+    a rational combination of the pivot rows above it."""
+    n = draw(st.integers(2, 5))
+    r = draw(st.integers(1, n - 1))
+    pivots = sorted(draw(st.sets(st.integers(0, n - 1), min_size=r, max_size=r)))
+    assume(pivots != list(range(r)))
+    top = [[draw(_entries) for _ in range(r)] for _ in range(r)]
+    assume(Mat(top).det() != 0)
+    rows, placed = [], []
+    for i in range(n):
+        if i in pivots:
+            placed.append(top[len(placed)])
+            rows.append(placed[-1])
+        else:
+            coeffs = [draw(_entries) for _ in placed]
+            rows.append([sum(c * row[j] for c, row in zip(coeffs, placed)) for j in range(r)])
+    Lp = Lattice(n, Mat(rows, ncols=r))
+    A = Mat([[draw(st.integers(-4, 4)) for _ in range(r)] for _ in range(r)])
+    assume(A.det() != 0)
+    return Lattice(n, Lp.basis * A), Lp, pivots
+
+
+@settings(max_examples=100, deadline=None)
+@given(nested_lattices())
+def test_index_off_the_first_rows_against_smith(case):
+    L, Lp, pivots = case
+    for B in (L.basis, Lp.basis):
+        assert [next(i for i, x in enumerate(col) if x) for col in B.columns()] == pivots
+    assert index(L, Lp) == smith_index(L, Lp) == FiniteQuotient(L, Lp).order
+
+
+@pytest.mark.parametrize(
+    "L, Lp, message",
+    [
+        (Z2, Lattice.standard(3), "different ambient spaces"),
+        (Lattice.from_generators(2, [(1, 0)]), Z2, "equal rational span"),
+        (
+            Lattice.from_generators(3, [(1, 0, 0), (0, 1, 0)]),
+            Lattice.from_generators(3, [(1, 0, 0), (0, 0, 1)]),
+            "equal rational span",
+        ),
+        (Z2, Z2.scaled(2), "not contained"),
+    ],
+    ids=["ambient", "rank", "span", "containment"],
+)
+def test_index_and_quotient_refuse_pairs_that_are_not_nested(L, Lp, message):
+    with pytest.raises(DomainError, match=message):
+        index(L, Lp)
+    with pytest.raises(DomainError, match=message):
+        FiniteQuotient(L, Lp)
+
+
+@st.composite
+def lattice_pairs(draw):
+    """(L, M): M drawn on its own (in another Q^n too) or spanned by rational
+    combinations of L's basis."""
+    M1 = draw(generator_matrices())
+    L = Lattice(M1.nrows, M1)
+    if draw(st.booleans()):
+        M2 = draw(generator_matrices())
+    else:
+        k = draw(st.integers(0, L.rank + 1))
+        M2 = L.basis * Mat([[draw(_entries) for _ in range(k)] for _ in range(L.rank)], ncols=k)
+    return L, Lattice(M2.nrows, M2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_pairs())
+def test_same_span_against_the_rank_oracle(pair):
+    L, M = pair
+    assert L.same_span(M) == M.same_span(L) == same_span_by_rank(L, M)
+
+
+def test_nested_pairs_take_one_solve_and_no_det_or_inverse(monkeypatch):
+    upper = Lattice.from_generators(4, [(0, 1, 1, 0), (0, 0, 2, 1)])
+    lower = Lattice.from_generators(4, [(0, 2, 2, 0), (0, 1, 7, 3)])
+    calls = dict.fromkeys(("solve", "det", "inverse"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(Mat, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(Mat, name, counting)
+
+    Q = FiniteQuotient(lower, upper)
+    order, invariants, (W, diag) = Q.order, Q.invariants, Q._adapted()
+    assert calls == {"solve": 1, "det": 0, "inverse": 0}
+    assert (order, invariants) == (6, (6,))
+    assert Lattice(4, W) == upper and Lattice(4, W * Mat.diagonal(diag)) == lower
+
+    calls.update(solve=0)
+    assert index(lower, upper) == 6
+    assert calls == {"solve": 1, "det": 0, "inverse": 0}
+
+    calls.update(solve=0)
+    assert upper.same_span(lower)
+    assert calls["solve"] <= 1
