@@ -12,7 +12,7 @@ once computed, so a Welters census over every K of ker μ_B builds them once.
 
 from functools import wraps
 
-from .errors import DomainError, IsotropyError, certify
+from .errors import DomainError, IsotropyError, _Immutable, certify
 from .finquot import FiniteQuotient, enumerate_mti, is_maximal_isotropic
 from .lattice import Lattice, kernel_lattice, lattice_sum, saturate
 from .matrix import Mat
@@ -47,7 +47,7 @@ def _kept(fn):
     return kept
 
 
-class ComplementaryPair:
+class ComplementaryPair(_Immutable):
     """A pair (A, B) of orthogonal-complementary sublattices of a principal one."""
 
     __slots__ = ("ambient", "sub_B", "sub_A", "_cache")
@@ -57,9 +57,6 @@ class ComplementaryPair:
         object.__setattr__(self, "sub_B", sub_B)
         object.__setattr__(self, "sub_A", sub_A)
         object.__setattr__(self, "_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplementaryPair is immutable")
 
     @_kept
     def restricted(self, sub):
@@ -79,7 +76,7 @@ class ComplementaryPair:
         )
 
 
-class WeltersOutput:
+class WeltersOutput(_Immutable):
     """The certified output (X, u, u^t, j) of the Welters construction."""
 
     __slots__ = ("X", "u", "u_t", "j", "pair", "m", "K", "certificate")
@@ -90,9 +87,6 @@ class WeltersOutput:
             ("pair", pair), ("m", m), ("K", K), ("certificate", certificate),
         ]:
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeltersOutput is immutable")
 
     def __repr__(self):
         return f"WeltersOutput(dim X={self.X.dim}, m={self.m})"

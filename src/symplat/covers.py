@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd
 
 from .comppair import _kept, complement, ker_mu_of_pair, orthogonal_projection
-from .errors import BudgetError, DomainError, certify
+from .errors import BudgetError, DomainError, _Immutable, certify
 from .finquot import FiniteQuotient, enumerate_mti, is_maximal_isotropic
 from .lattice import Lattice, kernel_lattice, preimage_lattice, saturate
 from .matrix import Mat, smith_normal_form
@@ -59,7 +59,7 @@ def _check_cover_size(m, n_edges):
         raise BudgetError(f"a degree-{m} cover has more than {MAX_COVER_EDGES} edges")
 
 
-class RibbonGraph:
+class RibbonGraph(_Immutable):
     """A graph with a rotation system: edge e has darts 2e (tail), 2e+1 (head).
 
     ``rotations`` is one tuple of darts per vertex, in counterclockwise order;
@@ -85,9 +85,6 @@ class RibbonGraph:
         object.__setattr__(self, "rotations", rotations)
         object.__setattr__(self, "vertex_of", vertex_of)
         object.__setattr__(self, "successor", successor)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RibbonGraph is immutable")
 
     @property
     def n_vertices(self):
@@ -160,7 +157,7 @@ class RibbonGraph:
         return len(seen) == self.n_vertices
 
 
-class VoltageAssignment:
+class VoltageAssignment(_Immutable):
     """A Z/m value per edge; reversing an edge negates its voltage."""
 
     __slots__ = ("modulus", "values")
@@ -173,9 +170,6 @@ class VoltageAssignment:
             raise DomainError("voltages must be ints")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "values", tuple(v % modulus for v in values))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VoltageAssignment is immutable")
 
 
 def surface_ribbon(g):
@@ -198,7 +192,7 @@ def surface_ribbon(g):
     return R
 
 
-class _Homology:
+class _Homology(_Immutable):
     """First homology of the filled surface of a ribbon graph.
 
     Carries the chosen cycle section and the projection from graph cycles to
@@ -215,9 +209,6 @@ class _Homology:
         object.__setattr__(self, "nontree", nontree)
         object.__setattr__(self, "proj", proj)
         object.__setattr__(self, "section", section)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("_Homology is immutable")
 
     def to_homology(self, rows):
         """Homology columns of the 1-cycles that are the columns of ``rows``.
@@ -236,43 +227,29 @@ class _Homology:
 
 
 def _spanning_tree(R):
-    """BFS spanning tree from vertex 0: (tree edge set, parent edges, BFS order).
+    """BFS spanning tree from vertex 0: (tree edge set, chains).
 
-    parent[v] is the edge that leads from v's parent down to v.
-    """
-    if not R.is_connected():
-        raise DomainError("ribbon graph is not connected")
-    parent_edge = {0: None}
-    order = [0]
-    tree = []
-    queue = [0]
-    while queue:
-        v = queue.pop(0)
-        for d in R.rotations[v]:
-            w = R.vertex_of[R.partner(d)]
-            if w not in parent_edge:
-                parent_edge[w] = d // 2
-                tree.append(d // 2)
-                order.append(w)
-                queue.append(w)
-    return set(tree), parent_edge, order
-
-
-def _tree_chain_to_root(R, parent_edge, order):
-    """For each vertex v, the tree chain from v to the root as an edge vector.
-
-    A parent precedes its children in the BFS ``order``, so its chain is known.
+    chains[v] is the tree path from v to the root as an edge vector: the chain
+    of v's BFS parent plus or minus the edge that reached v.
     """
     chains = {0: (0,) * R.n_edges}
-    for v in order[1:]:
-        e = parent_edge[v]
-        # edge e connects v to its parent; the step v -> parent runs against
-        # e's orientation when v is its head
-        at_head = R.head_vertex(e) == v
-        up = list(chains[R.tail_vertex(e) if at_head else R.head_vertex(e)])
-        up[e] += -1 if at_head else 1
-        chains[v] = tuple(up)
-    return chains
+    tree = set()
+    queue = [0] if R.n_vertices else []
+    for v in queue:
+        for d in R.rotations[v]:
+            w = R.vertex_of[R.partner(d)]
+            if w not in chains:
+                e = d // 2
+                # the step w -> v runs against e's orientation when w is its head
+                up = list(chains[v])
+                up[e] += -1 if d % 2 == 0 else 1
+                chains[w] = tuple(up)
+                tree.add(e)
+                queue.append(w)
+    # a graph with no vertex keeps the root's chain, so it fails this count too
+    if len(chains) != R.n_vertices:
+        raise DomainError("ribbon graph is not connected")
+    return tree, chains
 
 
 def _contract_tree(R, tree):
@@ -319,9 +296,8 @@ def homology_with_form(R):
 
 
 def _build_homology(R):
-    tree, parent_edge, order = _spanning_tree(R)
+    tree, chains = _spanning_tree(R)
     nontree = [e for e in range(R.n_edges) if e not in tree]
-    chains = _tree_chain_to_root(R, parent_edge, order)
 
     cycles = []
     for f in nontree:
@@ -382,7 +358,7 @@ def _build_homology(R):
     return _Homology(R, P, fund_cycles, nontree, proj, section)
 
 
-class CoverHomology:
+class CoverHomology(_Immutable):
     """Homology data of an m-fold cyclic unramified cover N -> N0.
 
     Bundles the base and total principal lattices, the deck action on H_1 of
@@ -413,9 +389,6 @@ class CoverHomology:
         object.__setattr__(self, "_base_h", base_h)
         object.__setattr__(self, "_total_h", total_h)
         object.__setattr__(self, "_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoverHomology is immutable")
 
     @property
     def cover_genus(self):

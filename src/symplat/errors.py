@@ -1,4 +1,4 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the immutability guard of the value classes.
 
 Three coarse classes matter to callers (and to the CLI exit codes):
 input/precondition problems, exhausted enumeration budgets, and failed
@@ -7,7 +7,23 @@ is the one path by which every check of a promised identity becomes a
 certificate or a CertificationError "<what> failed: [names]"; the only other
 raise turns the DomainError of a non-integral adjoint into the failure
 ``adjoint-integrality`` (``pollat.adjoint_map``).
+
+Every value class derives from ``_Immutable``: its instances are compared,
+hashed and memoized, so attributes are set only through
+``object.__setattr__`` while the instance is built.
 """
+
+
+class _Immutable:
+    """Base of the value classes: assigning or deleting an attribute raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class SymplatError(Exception):

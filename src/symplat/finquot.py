@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm, prod
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, _Immutable
 from .lattice import Lattice, _inclusion, congruence_kernel
 from .matrix import Mat, smith_normal_form
 
@@ -32,7 +32,7 @@ __all__ = [
 DEFAULT_BUDGET = 2**16
 
 
-class FiniteQuotient:
+class FiniteQuotient(_Immutable):
     """The finite abelian group upper/lower for nested equal-span lattices."""
 
     __slots__ = ("lower", "upper", "_coords", "_snf", "_hash")
@@ -44,9 +44,6 @@ class FiniteQuotient:
         object.__setattr__(self, "_coords", T)
         object.__setattr__(self, "_snf", None)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteQuotient is immutable")
 
     def _adapted(self):
         """(W, diag): a basis W of `upper` with lower = W * diag(d1..dr).
@@ -140,7 +137,7 @@ def _integral(vector):
     return all(type(x) is int for x in vector)
 
 
-class QuotientElement:
+class QuotientElement(_Immutable):
     """An element of a FiniteQuotient: its lower-basis coordinates ``c`` in [0, 1).
 
     Built from a vector of ``upper`` with one solve (``_coords`` skips it);
@@ -164,9 +161,6 @@ class QuotientElement:
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "rep", parent.lower.basis.apply(c))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuotientElement is immutable")
 
     def __eq__(self, other):
         return (
@@ -206,7 +200,7 @@ class QuotientElement:
         return f"QuotientElement({self.rep})"
 
 
-class PairingOnQuotient:
+class PairingOnQuotient(_Immutable):
     """A Q/Z-valued pairing on a FiniteQuotient, given by an alternating form.
 
     Well-definedness requires form(upper, lower) ⊆ Z, which makes the value
@@ -230,9 +224,6 @@ class PairingOnQuotient:
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "_upper_form", upper_form)
         object.__setattr__(self, "_radical_order", orthogonal_subgroup(quotient, self).order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PairingOnQuotient is immutable")
 
     def value(self, x, y):
         """The pairing value x^T * form * y in Q/Z, reduced into [0, 1)."""
@@ -322,8 +313,7 @@ def _enumerate(Q, budget, p=None):
         nonlocal tried
         if j < 0:
             gens = (Wsub * Mat(H, ncols=k)).columns() + trivial_cols
-            M = Lattice.from_generators(Q.lower.ambient_dim, gens) if gens else Q.lower
-            out.append(FiniteQuotient(Q.lower, M))
+            out.append(FiniteQuotient(Q.lower, Lattice.from_generators(Q.lower.ambient_dim, gens)))
             return
         for h in _divisors(d[j]):
             if p is not None:

@@ -15,7 +15,7 @@ the product of a diagonal, read off one solve (``_inclusion``).
 from fractions import Fraction
 from math import prod
 
-from .errors import DomainError
+from .errors import DomainError, _Immutable
 from .matrix import Mat, hermite_basis, integer_kernel, smith_normal_form
 
 __all__ = [
@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-class Lattice:
+class Lattice(_Immutable):
     """A full-column-rank basis matrix up to unimodular column equivalence."""
 
     __slots__ = ("ambient_dim", "basis", "_hash")
@@ -41,9 +41,6 @@ class Lattice:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", hermite_basis(basis))
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Lattice is immutable")
 
     @staticmethod
     def standard(n):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .errors import DomainError, certify
+from .errors import DomainError, _Immutable, certify
 
 __all__ = [
     "Mat",
@@ -105,7 +105,7 @@ def _gauss_jordan(rows, ncols):
     return a, prev, pivots
 
 
-class Mat:
+class Mat(_Immutable):
     """An immutable matrix with exact rational entries.
 
     Supports the handful of operations the lattice layer needs: arithmetic,
@@ -140,9 +140,6 @@ class Mat:
         object.__setattr__(self, "_hash", None)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat is immutable")
-
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -173,10 +170,6 @@ class Mat:
         return Mat.from_columns([tuple(vec)])
 
     # -- basic queries -----------------------------------------------------
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
 
     def col(self, j):
         return tuple(row[j] for row in self.rows)
@@ -442,7 +435,9 @@ def smith_normal_form(M):
     m, n, w = st.m, st.n, st.w
     # Repair the divisibility chain with 2x2 gcd surgeries on adjacent pairs:
     # diag(a, b) -> diag(g, ab/g).  Each surgery strictly shrinks d_i, so the
-    # sweep terminates; zeros are already trailing after eliminate().
+    # sweep terminates; zeros are already trailing after eliminate().  The
+    # pivots eliminate() leaves are positive and g, ab/g stay so: D needs no
+    # sign repair.
     changed = True
     while changed:
         changed = False
@@ -454,9 +449,6 @@ def smith_normal_form(M):
             st.row_block(i, i + 1, ((x, y), (-b // g, a // g)))
             st.col_block(i, i + 1, ((1, -(y * b) // g), (1, (x * a) // g)))
             changed = True
-    for i in range(min(m, n)):
-        if w[i][i] < 0:
-            st.negate_row(i)
 
     U = Mat._trusted(tuple(tuple(row[n:]) for row in w[:m]), m)
     D = Mat._trusted(tuple(tuple(row[:n]) for row in w[:m]), n)

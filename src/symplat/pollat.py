@@ -9,7 +9,7 @@ nested lattices and isogeny quotients become lattice enlargements.
 
 from fractions import Fraction
 
-from .errors import CertificationError, DomainError, IsotropyError, certify
+from .errors import CertificationError, DomainError, IsotropyError, _Immutable, certify
 from .finquot import FiniteQuotient, PairingOnQuotient
 from .lattice import Lattice
 from .matrix import Mat, smith_normal_form
@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-class PolarizationType:
+class PolarizationType(_Immutable):
     """The elementary-divisor chain (d1 | d2 | ... | dn) of a polarization."""
 
     __slots__ = ("chain",)
@@ -46,9 +46,6 @@ class PolarizationType:
             if b % a != 0:
                 raise DomainError("polarization type must be a divisibility chain")
         object.__setattr__(self, "chain", chain)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolarizationType is immutable")
 
     def __iter__(self):
         return iter(self.chain)
@@ -78,7 +75,7 @@ class PolarizationType:
         return f"PolarizationType{self.chain}"
 
 
-class PolarizedLattice:
+class PolarizedLattice(_Immutable):
     """A lattice of rank 2n with an integral nondegenerate alternating form.
 
     One Smith form of the Gram matrix decides the rest: its diagonal is
@@ -107,9 +104,6 @@ class PolarizedLattice:
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "_gram", gram)
         object.__setattr__(self, "_type", PolarizationType(diag[0::2]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolarizedLattice is immutable")
 
     @property
     def ambient_dim(self):
@@ -234,7 +228,7 @@ def principal_quotient(P, K, m):
     return X
 
 
-class LatticeMap:
+class LatticeMap(_Immutable):
     """A rational linear map carrying one lattice into another.
 
     The matrix maps the source ambient space to the target ambient space;
@@ -257,9 +251,6 @@ class LatticeMap:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LatticeMap is immutable")
-
     def __eq__(self, other):
         return (
             isinstance(other, LatticeMap)
@@ -270,9 +261,6 @@ class LatticeMap:
 
     def __hash__(self):
         return hash((self.matrix, self.source, self.target))
-
-    def apply(self, vec):
-        return self.matrix.apply(vec)
 
     def __repr__(self):
         return f"LatticeMap({self.source.ambient_dim}->{self.target.ambient_dim})"

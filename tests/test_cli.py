@@ -543,6 +543,21 @@ def test_text_format():
     assert "dim_Ag = 6" in text
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["quotient", "--g", "0", "--m", "2"], "quotient census needs g >= 1 and m >= 1"),
+    (["quotient", "--g", "1", "--m", "0"], "quotient census needs g >= 1 and m >= 1"),
+    (["cover", "--g", "0", "--m", "2"], "cover needs g >= 1 and m >= 1"),
+])
+def test_nonpositive_genus_or_degree_is_validation(argv, message):
+    assert run(argv) == (EXIT_VALIDATION, f"invalid input: {message}\n")
+
+
+def test_quotient_text_format():
+    code, text = run(["quotient", "--g", "1", "--m", "2", "--format", "text"])
+    assert code == EXIT_OK
+    assert "quotients = [3 entries]" in text.splitlines()
+
+
 def test_cmd_quotient_direct():
     report = cmd_quotient(1, 3, "all")
     assert report["count"] == 4

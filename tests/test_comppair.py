@@ -83,6 +83,12 @@ def test_complement_rejects_unsaturated():
         complement(ambient, bad)
 
 
+def test_complement_rejects_a_lattice_outside_the_ambient():
+    half = Lattice.from_generators(4, [(Fraction(1, 2), 0, 0, 0), (0, 0, 1, 0)])
+    with pytest.raises(DomainError, match="^B is not a sublattice of the ambient lattice$"):
+        complement(standard_principal(2), half)
+
+
 def test_complement_rejects_degenerate():
     ambient = standard_principal(2)
     lagrangian = Lattice.from_generators(4, [(1, 0, 0, 0), (0, 1, 0, 0)])

@@ -88,6 +88,16 @@ def test_surface_homology_principal(g):
     assert polarization_type(P).chain == (1,) * g
 
 
+@pytest.mark.parametrize(
+    "R",
+    [RibbonGraph(2, [(0, 1), (2, 3)]), RibbonGraph(0, [])],
+    ids=["two-components", "no-vertex"],
+)
+def test_homology_refuses_a_disconnected_graph(R):
+    with pytest.raises(DomainError, match="^ribbon graph is not connected$"):
+        homology_with_form(R)
+
+
 def test_two_vertex_graph_homology():
     # a torus spine with a subdivided edge: 2 vertices, 3 edges
     # edges: 0 = a1 (u->v), 1 = a2 (v->u), 2 = b loop at u

@@ -1,4 +1,8 @@
-"""Every certified identity fails through ``errors.certify``, under its own name."""
+"""Every certified identity fails through ``errors.certify``, under its own name.
+
+Every value class refuses assignment and deletion through one guard,
+``errors._Immutable``.
+"""
 
 import ast
 import sys
@@ -8,11 +12,17 @@ from pathlib import Path
 import pytest
 
 from symplat import comppair, covers, matrix, pollat
-from symplat.comppair import complement
+from symplat.comppair import complement, preset_m2
 from symplat.errors import CertificationError
 from symplat.lattice import Lattice
 from symplat.matrix import Mat
-from symplat.pollat import LatticeMap, PolarizationType, adjoint_map, standard_principal
+from symplat.pollat import (
+    LatticeMap,
+    PolarizationType,
+    adjoint_map,
+    standard_principal,
+    torsion_subgroup,
+)
 
 from conftest import subdivided_surface
 
@@ -104,7 +114,7 @@ def force_surface_ribbon(monkeypatch):
 def force_tree_loop(monkeypatch):
     R = covers.surface_ribbon(1)
     # a one-vertex graph: contracting edge 0 would contract a loop
-    monkeypatch.setattr(covers, "_spanning_tree", lambda R: ({0}, {0: None}, [0]))
+    monkeypatch.setattr(covers, "_spanning_tree", lambda R: ({0}, {0: (0,) * R.n_edges}))
     return lambda: covers.homology_with_form(R)
 
 
@@ -302,3 +312,60 @@ def test_object_setattr_writes_only_into_self():
         and not (node.args and ast.unparse(node.args[0]) == "self")
     ]
     assert found == []
+
+
+# One instance of each value class, by class name.
+VALUES = {
+    "Mat": lambda: Mat.identity(2),
+    "Lattice": lambda: Lattice.standard(2),
+    "FiniteQuotient": lambda: torsion_subgroup(standard_principal(1), 2)[0],
+    "QuotientElement": lambda: torsion_subgroup(standard_principal(1), 2)[0].elements()[1],
+    "PairingOnQuotient": lambda: torsion_subgroup(standard_principal(1), 2)[1],
+    "PolarizationType": lambda: PolarizationType((1, 2)),
+    "PolarizedLattice": lambda: standard_principal(1),
+    "LatticeMap": lambda: LatticeMap(Mat.identity(2), Lattice.standard(2), Lattice.standard(2)),
+    "ComplementaryPair": lambda: covers.standard_cover(1, 2).pair(),
+    "WeltersOutput": lambda: preset_m2("jacobian_quotient", standard_principal(1)),
+    "RibbonGraph": lambda: covers.surface_ribbon(1),
+    "VoltageAssignment": lambda: covers.VoltageAssignment(2, (1, 0)),
+    "_Homology": lambda: covers._build_homology(covers.surface_ribbon(1)),
+    "CoverHomology": lambda: covers.standard_cover(1, 2),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_classes_refuse_assignment_and_deletion(name):
+    value = VALUES[name]()
+    assert type(value).__name__ == name
+    slot = type(value).__slots__[0]
+    kept = getattr(value, slot)
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        setattr(value, slot, None)
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        delattr(value, slot)
+    assert getattr(value, slot) is kept
+
+
+def test_one_immutability_guard():
+    # __setattr__ and __delattr__ are written once, in errors._Immutable, and
+    # every class with slots derives from it (VALUES builds one of each)
+    guards, slotted = [], {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            guards += [
+                (path.name, node.name, item.name) for item in node.body
+                if isinstance(item, ast.FunctionDef) and item.name in ("__setattr__", "__delattr__")
+            ]
+            slots = [
+                ast.literal_eval(item.value) for item in node.body
+                if isinstance(item, ast.Assign) and [ast.unparse(t) for t in item.targets] == ["__slots__"]
+            ]
+            if slots and slots[0]:
+                slotted[node.name] = [ast.unparse(base) for base in node.bases]
+    assert sorted(guards) == [
+        ("errors.py", "_Immutable", "__delattr__"),
+        ("errors.py", "_Immutable", "__setattr__"),
+    ]
+    assert slotted == {name: ["_Immutable"] for name in VALUES}

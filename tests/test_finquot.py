@@ -112,6 +112,12 @@ def test_subgroup_generation():
     assert S.is_subgroup_of(Q)
 
 
+def test_subgroup_refuses_generators_outside_the_quotient():
+    Q = FiniteQuotient(Z2.scaled(2), Z2)
+    with pytest.raises(DomainError, match="^generators do not lie in the quotient$"):
+        Q.subgroup([(Fraction(1, 2), 0)])
+
+
 def test_pairing_well_defined_check():
     Q = FiniteQuotient(Z2.scaled(2), Z2)
     good = PairingOnQuotient(Q, Mat([[0, 2], [-2, 0]]))
@@ -120,6 +126,8 @@ def test_pairing_well_defined_check():
         PairingOnQuotient(Q, Mat([[0, Fraction(1, 4)], [Fraction(-1, 4), 0]]))
     with pytest.raises(DomainError):
         PairingOnQuotient(Q, Mat([[0, 2], [2, 0]]))  # not alternating
+    with pytest.raises(DomainError, match="^pairing form has the wrong shape$"):
+        PairingOnQuotient(Q, Mat.zero(3, 3))
 
 
 def test_pairing_antisymmetry_of_values():
@@ -528,6 +536,8 @@ def test_maximal_isotropy_refuses_another_lower_lattice():
     assert is_isotropic(cyclic, p)
     with pytest.raises(DomainError, match="lower lattice"):
         is_maximal_isotropic(cyclic, p)
+    with pytest.raises(DomainError, match="^subgroup does not share the quotient's lower lattice$"):
+        orthogonal_subgroup(cyclic, p)
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symplat.errors import CertificationError, DomainError, IsotropyError
-from symplat.finquot import enumerate_mti, orthogonal_subgroup
+from symplat.finquot import FiniteQuotient, enumerate_mti, orthogonal_subgroup
 from symplat.lattice import Lattice, index
 from symplat.matrix import Mat
 from symplat.pollat import (
@@ -181,6 +181,13 @@ def test_quotient_trivial():
     tors, p = torsion_subgroup(P, 1)
     K = tors.subgroup([])
     assert quotient_by_isotropic(P, K, 1) == P
+
+
+def test_quotient_refuses_a_subgroup_over_another_lattice():
+    P = standard_principal(1)
+    K = FiniteQuotient(P.lattice.scaled(2), P.lattice)
+    with pytest.raises(DomainError, match="^subgroup is not presented over the polarized lattice$"):
+        quotient_by_isotropic(P, K, 2)
 
 
 def test_quotient_nonisotropic_rejected():
