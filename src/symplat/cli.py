@@ -31,7 +31,7 @@ from .covers import (
     verify_kernel_identification,
 )
 from .errors import BudgetError, CertificationError, DomainError, SymplatError
-from .finquot import DEFAULT_BUDGET, enumerate_mti
+from .finquot import DEFAULT_BUDGET, _enumerate, enumerate_mti
 from .jsonio import (
     SCHEMA,
     cover_from_obj,
@@ -104,9 +104,11 @@ def cmd_quotient(g, m, mode="all", budget=DEFAULT_BUDGET):
         raise BudgetError(f"group of order {m}^{2 * g} exceeds budget {budget}")
     P = standard_principal(g)
     tors, pairing = torsion_subgroup(P, m)
-    subgroups = enumerate_mti(tors, pairing, budget=budget)
     if mode == "one":
-        subgroups = subgroups[:1]
+        # the whole search runs, budget checks included; one survivor is built
+        subgroups = _enumerate(tors, budget, pairing, limit=1)
+    else:
+        subgroups = enumerate_mti(tors, pairing, budget=budget)
     entries = []
     for K in subgroups:
         X = principal_quotient(P, K, m)

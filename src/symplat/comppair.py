@@ -53,10 +53,7 @@ class ComplementaryPair(_Immutable):
     __slots__ = ("ambient", "sub_B", "sub_A", "_cache")
 
     def __init__(self, ambient, sub_B, sub_A):
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "sub_B", sub_B)
-        object.__setattr__(self, "sub_A", sub_A)
-        object.__setattr__(self, "_cache", {})
+        self._fill(ambient, sub_B, sub_A, {})
 
     @_kept
     def restricted(self, sub):
@@ -82,11 +79,7 @@ class WeltersOutput(_Immutable):
     __slots__ = ("X", "u", "u_t", "j", "pair", "m", "K", "certificate")
 
     def __init__(self, X, u, u_t, j, pair, m, K, certificate):
-        for name, value in [
-            ("X", X), ("u", u), ("u_t", u_t), ("j", j),
-            ("pair", pair), ("m", m), ("K", K), ("certificate", certificate),
-        ]:
-            object.__setattr__(self, name, value)
+        self._fill(X, u, u_t, j, pair, m, K, certificate)
 
     def __repr__(self):
         return f"WeltersOutput(dim X={self.X.dim}, m={self.m})"

@@ -81,10 +81,7 @@ class RibbonGraph(_Immutable):
             for i, d in enumerate(rot):
                 vertex_of[d] = v
                 successor[d] = rot[(i + 1) % len(rot)]
-        object.__setattr__(self, "n_edges", n_edges)
-        object.__setattr__(self, "rotations", rotations)
-        object.__setattr__(self, "vertex_of", vertex_of)
-        object.__setattr__(self, "successor", successor)
+        self._fill(n_edges, rotations, vertex_of, successor)
 
     @property
     def n_vertices(self):
@@ -143,18 +140,11 @@ class RibbonGraph(_Immutable):
         return (2 - chi) // 2
 
     def is_connected(self):
-        if self.n_vertices == 0:
+        try:
+            _spanning_tree(self)
+        except DomainError:
             return False
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for d in self.rotations[v]:
-                w = self.vertex_of[self.partner(d)]
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n_vertices
+        return True
 
 
 class VoltageAssignment(_Immutable):
@@ -168,8 +158,7 @@ class VoltageAssignment(_Immutable):
         values = tuple(values)
         if any(type(v) is not int for v in values):
             raise DomainError("voltages must be ints")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "values", tuple(v % modulus for v in values))
+        self._fill(modulus, tuple(v % modulus for v in values))
 
 
 def surface_ribbon(g):
@@ -203,12 +192,7 @@ class _Homology(_Immutable):
     __slots__ = ("graph", "polarized", "fund_cycles", "nontree", "proj", "section")
 
     def __init__(self, graph, polarized, fund_cycles, nontree, proj, section):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "polarized", polarized)
-        object.__setattr__(self, "fund_cycles", fund_cycles)
-        object.__setattr__(self, "nontree", nontree)
-        object.__setattr__(self, "proj", proj)
-        object.__setattr__(self, "section", section)
+        self._fill(graph, polarized, fund_cycles, nontree, proj, section)
 
     def to_homology(self, rows):
         """Homology columns of the 1-cycles that are the columns of ``rows``.
@@ -295,8 +279,9 @@ def homology_with_form(R):
     return _build_homology(R).polarized
 
 
-def _build_homology(R):
-    tree, chains = _spanning_tree(R)
+def _build_homology(R, spanning=None):
+    """The homology of R, given ``_spanning_tree(R)`` if it is already known."""
+    tree, chains = spanning or _spanning_tree(R)
     nontree = [e for e in range(R.n_edges) if e not in tree]
 
     cycles = []
@@ -375,20 +360,11 @@ class CoverHomology(_Immutable):
 
     def __init__(self, base_graph, voltages, m, cover_graph,
                  base_h, total_h, sigma, pushforward, transfer, certificate):
-        object.__setattr__(self, "base_graph", base_graph)
-        object.__setattr__(self, "voltages", voltages)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "g", base_graph.genus())
-        object.__setattr__(self, "cover_graph", cover_graph)
-        object.__setattr__(self, "base", base_h.polarized)
-        object.__setattr__(self, "total", total_h.polarized)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "pushforward", pushforward)
-        object.__setattr__(self, "transfer", transfer)
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "_base_h", base_h)
-        object.__setattr__(self, "_total_h", total_h)
-        object.__setattr__(self, "_cache", {})
+        self._fill(
+            base_graph, voltages, m, base_graph.genus(), cover_graph,
+            base_h.polarized, total_h.polarized, sigma, pushforward, transfer, certificate,
+            base_h, total_h, {},
+        )
 
     @property
     def cover_genus(self):
@@ -458,10 +434,12 @@ def cyclic_cover(R, voltages, m):
                     rot.append(2 * (e * m + (s - voltages.values[e]) % m) + 1)
             rotations.append(rot)
     cover = RibbonGraph(E * m, rotations)
-    if not cover.is_connected():
+    try:
+        spanning = _spanning_tree(cover)  # the one walk of the cover graph
+    except DomainError:
         raise DomainError("voltages do not generate Z/m: the cover is disconnected")
 
-    total_h = _build_homology(cover)
+    total_h = _build_homology(cover, spanning)
     g_cover = cover.genus()
     genus_ok = g_cover == m * g - m + 1
     certify(f"cover genus {g_cover} = mg-m+1 = {m * g - m + 1}", {"cover-genus": genus_ok})

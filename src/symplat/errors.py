@@ -9,8 +9,9 @@ raise turns the DomainError of a non-integral adjoint into the failure
 ``adjoint-integrality`` (``pollat.adjoint_map``).
 
 Every value class derives from ``_Immutable``: its instances are compared,
-hashed and memoized, so attributes are set only through
-``object.__setattr__`` while the instance is built.
+hashed and memoized, so attributes are set only while the instance is built,
+through ``object.__setattr__`` or ``_fill``.  A value is its own copy, and a
+pickle restores its slots as they were.
 """
 
 
@@ -19,11 +20,32 @@ class _Immutable:
 
     __slots__ = ()
 
+    def _fill(self, *values):
+        """Set the slots, in ``__slots__`` order, to ``values``: for constructors only."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_slots(cls, *values):
+        """An instance whose slots, in ``__slots__`` order, hold ``values``; unchecked."""
+        self = object.__new__(cls)
+        self._fill(*values)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return type(self)._from_slots, tuple(getattr(self, name) for name in self.__slots__)
 
 
 class SymplatError(Exception):

@@ -4,7 +4,8 @@ This is where torsion subgroups, kernels of polarization maps and their
 Q/Z-valued pairings live, together with exhaustive subgroup enumeration and
 the maximal-totally-isotropic (m.t.i.) machinery that drives every isogeny
 quotient in the package.  One solve gives T, the L'-basis coordinates of the
-L basis; both bases are column Hermite forms, so T is lower triangular and
+L basis (forward substitution, for a search survivor whose L' basis is
+known); both bases are column Hermite forms, so T is lower triangular and
 |L'/L| is the product of its diagonal.  Elements are kept as their L-basis
 coordinates.
 """
@@ -39,11 +40,32 @@ class FiniteQuotient(_Immutable):
 
     def __init__(self, lower, upper):
         T = _inclusion(lower, upper)  # the one solve: lower.basis = upper.basis * T
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "_coords", T)
-        object.__setattr__(self, "_snf", None)
-        object.__setattr__(self, "_hash", None)
+        self._fill(lower, upper, T, None, None)
+
+    @classmethod
+    def _over_hermite(cls, lower, c, keys):
+        """The quotients by ``lower`` of the lattices with bases c*H, for H in ``keys``.
+
+        Each H is a lower-triangular Hermite matrix of ints, given by its rows,
+        and c > 0, so c*H is a canonical basis: no Hermite pass or solve is
+        made.  T, with c*H*T = lower.basis, comes from forward substitution; a
+        division that is not exact means ``lower`` is not contained.
+        """
+        n = lower.ambient_dim
+        L = lower.basis.scaled(1 / Fraction(c)).rows  # lower triangular, and so is each T
+        out = []
+        for H in keys:
+            T = [[0] * n for _ in range(n)]
+            for i, row in enumerate(H):
+                for j in range(i + 1):
+                    x = L[i][j] - sum(row[s] * T[s][j] for s in range(j, i))
+                    T[i][j], rem = divmod(x, row[i])
+                    if rem:
+                        raise DomainError("lower lattice is not contained in the upper one")
+            upper = Lattice._from_slots(n, Mat._trusted(H, n).scaled(c), None)
+            coords = Mat._trusted(tuple(map(tuple, T)), n)
+            out.append(cls._from_slots(lower, upper, coords, None, None))
+        return out
 
     def _adapted(self):
         """(W, diag): a basis W of `upper` with lower = W * diag(d1..dr).
@@ -158,9 +180,7 @@ class QuotientElement(_Immutable):
             if not inside:
                 raise DomainError("representative does not lie in the upper lattice")
         c = tuple(x % 1 or 0 for x in c)
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "rep", parent.lower.basis.apply(c))
+        self._fill(parent, c, parent.lower.basis.apply(c))
 
     def __eq__(self, other):
         return (
@@ -220,9 +240,7 @@ class PairingOnQuotient(_Immutable):
         upper_form = quotient.upper.basis.T * form
         if not (upper_form * quotient.lower.basis).is_integral():
             raise DomainError("pairing is not well-defined: form(upper, lower) not integral")
-        object.__setattr__(self, "quotient", quotient)
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "_upper_form", upper_form)
+        self._fill(quotient, form, upper_form)  # orthogonal_subgroup reads these three
         object.__setattr__(self, "_radical_order", orthogonal_subgroup(quotient, self).order)
 
     def value(self, x, y):
@@ -272,7 +290,7 @@ def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _enumerate(Q, budget, p=None):
+def _enumerate(Q, budget, p=None, limit=None):
     """Subgroups of Q in canonical order; given a pairing p, only the m.t.i. ones.
 
     A subgroup is H Z^k / diag(d) Z^k on the d > 1 columns Wsub of Q's adapted
@@ -282,9 +300,12 @@ def _enumerate(Q, budget, p=None):
     placement is tested at once: d_j e_j must lie in their span (forward
     substitution) and, given p, the new column must pair integrally with the
     placed ones and prod(h) must stay able to reach its m.t.i. value (see
-    ``enumerate_mti``).  Each subgroup is built as a FiniteQuotient, whose
-    order prod(d) / prod(h) is read off its own Hermite diagonal.  BudgetError
-    once |Q| or the number of column placements tried exceeds budget.
+    ``enumerate_mti``).  The order of a subgroup is prod(d) / prod(h).  Where
+    Wsub = c I with c > 0, a survivor is kept as (order, H) in ints: its
+    canonical basis is c H, so that key sorts as the built quotient does, and
+    only the first ``limit`` are built.  Otherwise each survivor is built and
+    then sorted.  BudgetError once |Q| or the number of column placements
+    tried exceeds budget.
     """
     if Q.order > budget:
         raise BudgetError(f"group of order {Q.order} exceeds budget {budget}")
@@ -295,10 +316,14 @@ def _enumerate(Q, budget, p=None):
     k = len(d)
     # the d = 1 columns lie in Q.lower and complete every generating set
     trivial_cols = [W.col(i) for i, d_i in enumerate(diag) if d_i == 1]
+    full = prod(d)
+    # Wsub = c I, c > 0, is square and so leaves no d = 1 column
+    c = Wsub.rows[0][0] if k else 0
+    scalar = c > 0 and Wsub == Mat.identity(k).scaled(c)
     if p is not None:
         # prod(h) of every m.t.i. S, from |S|^2 = |Q| |R|; |Q| |R| is a square
         # because Q/R carries a nondegenerate alternating pairing
-        goal = prod(d) // isqrt(Q.order * p._radical_order)
+        goal = full // isqrt(Q.order * p._radical_order)
         head = [prod(d[:j]) for j in range(k)]
         G = Wsub.T * p.form * Wsub
         den = G.denominator_lcm()
@@ -312,6 +337,9 @@ def _enumerate(Q, budget, p=None):
         """Place column j, given prod(h_i, i > j) = placed."""
         nonlocal tried
         if j < 0:
+            if scalar:
+                out.append((full // placed, tuple(map(tuple, H))))
+                return
             gens = (Wsub * Mat(H, ncols=k)).columns() + trivial_cols
             out.append(FiniteQuotient(Q.lower, Lattice.from_generators(Q.lower.ambient_dim, gens)))
             return
@@ -347,8 +375,11 @@ def _enumerate(Q, budget, p=None):
                     place(j - 1, placed * h)
 
     place(k - 1, 1)
+    if scalar:
+        out.sort()
+        return FiniteQuotient._over_hermite(Q.lower, c, [H for _, H in out[:limit]])
     out.sort(key=lambda S: (S.order, S.upper.basis.rows))
-    return out
+    return out[:limit]
 
 
 def enumerate_subgroups(Q, budget=DEFAULT_BUDGET):

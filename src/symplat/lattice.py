@@ -38,9 +38,7 @@ class Lattice(_Immutable):
     def __init__(self, ambient_dim, basis):
         if basis.nrows != ambient_dim:
             raise DomainError("basis rows must match ambient dimension")
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", hermite_basis(basis))
-        object.__setattr__(self, "_hash", None)
+        self._fill(ambient_dim, hermite_basis(basis), None)
 
     @staticmethod
     def standard(n):

@@ -133,6 +133,7 @@ class Mat(_Immutable):
     @classmethod
     def _trusted(cls, rows, ncols):
         """A Mat on tuple rows of normalized entries (see ``_norm``), unchecked."""
+        # slot by slot, not ``_from_slots``: every product builds one
         self = object.__new__(cls)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "nrows", len(rows))

@@ -100,10 +100,7 @@ class PolarizedLattice(_Immutable):
         if diag and diag[-1] == 0:
             raise DomainError("form is degenerate on the lattice span")
         certify("alternating Gram invariants", {"snf-pairing": diag[0::2] == diag[1::2]})
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "_gram", gram)
-        object.__setattr__(self, "_type", PolarizationType(diag[0::2]))
+        self._fill(lattice, form, gram, PolarizationType(diag[0::2]))
 
     @property
     def ambient_dim(self):
@@ -247,9 +244,7 @@ class LatticeMap(_Immutable):
             raise DomainError("image of the source lattice leaves the target span")
         if not coords.is_integral():
             raise DomainError("map does not carry the source lattice into the target")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
+        self._fill(matrix, source, target)
 
     def __eq__(self, other):
         return (

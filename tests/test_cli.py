@@ -59,6 +59,49 @@ def test_quotient_mode_one():
     assert p["count"] == 1
 
 
+def _record_calls(monkeypatch, owner, name, count=lambda args: 1):
+    """Patch owner.name to record how many items each call makes; returns the counts."""
+    counts = []
+    real = getattr(owner, name)
+
+    def recorded(*args):
+        counts.append(count(args))
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return counts
+
+
+def test_quotient_mode_one_builds_only_what_it_prints(monkeypatch):
+    built = _record_calls(monkeypatch, FiniteQuotient, "_over_hermite", lambda args: len(args[2]))
+    inits = _record_calls(monkeypatch, FiniteQuotient, "__init__")
+    certified = _record_calls(monkeypatch, cli, "principal_quotient")
+    p = payload(["quotient", "--g", "3", "--m", "2", "--mode", "one"])
+    assert p["count"] == 1
+    # one survivor is built and certified; the other two quotients are the
+    # 2-torsion itself and the radical of its pairing
+    assert (sum(built), sum(certified), sum(inits)) == (1, 1, 2)
+
+
+@pytest.mark.parametrize("g, m", [(1, 2), (2, 2), (2, 3), (1, 4), (1, 6), (2, 4)])
+def test_quotient_mode_one_prints_the_first_entry_of_all(g, m):
+    argv = ["quotient", "--g", str(g), "--m", str(m), "--mode"]
+    one, every = payload(argv + ["one"]), payload(argv + ["all"])
+    assert one["quotients"] == every["quotients"][:1]
+    assert {**one, "mode": "all", "count": every["count"], "quotients": every["quotients"]} \
+        == every
+
+
+@pytest.mark.parametrize("budget, code", [(13527, EXIT_BUDGET), (13528, EXIT_OK)])
+def test_quotient_mode_one_runs_the_whole_search(budget, code):
+    # the (3,3) search tries 13,528 placements; --mode one prints one entry of it
+    argv = ["quotient", "--g", "3", "--m", "3", "--budget", str(budget), "--mode"]
+    one, every = run(argv + ["one"]), run(argv + ["all"])
+    assert one[0] == every[0] == code
+    if code == EXIT_BUDGET:
+        assert one == every == (code, "budget error: more than 13527 candidate subgroups\n")
+
+
 def test_quotient_budget_exit():
     code, text = run(["quotient", "--g", "2", "--m", "17"])
     assert code == EXIT_BUDGET
@@ -179,6 +222,17 @@ def test_welters_malformed_fixture_numbers(tmp_path, fixture22, edit):
     code, text = run(["welters", str(path), "--K", "1:0"])
     assert code == EXIT_VALIDATION, text
     assert text.startswith("invalid input:")
+
+
+def test_welters_disconnected_fixture_exits_3(tmp_path, fixture22):
+    obj = json.loads(json.dumps(fixture22))
+    obj["voltages"] = [0] * len(obj["voltages"])
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"fixture": obj}))
+    code, text = run(["welters", str(path), "--K", "1:0"])
+    assert (code, text) == (
+        EXIT_VALIDATION, "invalid input: voltages do not generate Z/m: the cover is disconnected\n"
+    )
 
 
 @pytest.mark.parametrize("key", ["total", "base"])

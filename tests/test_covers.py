@@ -370,8 +370,29 @@ def test_lifting_every_label_builds_one_orthogonal(monkeypatch):
 
 def test_disconnected_cover_rejected():
     R = surface_ribbon(2)
-    with pytest.raises(DomainError):
+    message = "^voltages do not generate Z/m: the cover is disconnected$"
+    with pytest.raises(DomainError, match=message):
         cyclic_cover(R, VoltageAssignment(2, [0, 0, 0, 0]), 2)
+
+
+def test_each_graph_is_walked_once(monkeypatch):
+    # one spanning-tree BFS decides the cover's connectivity and builds its homology
+    walked = []
+    real_tree, real_connected = covers._spanning_tree, RibbonGraph.is_connected
+    monkeypatch.setattr(covers, "_spanning_tree", lambda R: walked.append(R) or real_tree(R))
+    monkeypatch.setattr(RibbonGraph, "is_connected", lambda R: walked.append(R) or real_connected(R))
+    R = surface_ribbon(2)
+    cov = cyclic_cover(R, VoltageAssignment(3, [1, 0, 2, 0]), 3)
+    assert [id(graph) for graph in walked] == [id(R), id(cov.cover_graph)]
+
+
+@pytest.mark.parametrize("R, connected", [
+    (surface_ribbon(1), True),
+    (RibbonGraph(2, [(0, 1), (2, 3)]), False),
+    (RibbonGraph(0, []), False),
+])
+def test_is_connected_reads_the_spanning_tree(R, connected):
+    assert R.is_connected() == connected
 
 
 def test_ramified_cover_rejected():

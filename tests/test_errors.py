@@ -1,10 +1,13 @@
 """Every certified identity fails through ``errors.certify``, under its own name.
 
 Every value class refuses assignment and deletion through one guard,
-``errors._Immutable``.
+``errors._Immutable``, which also makes a value its own copy and lets a
+pickle restore it.
 """
 
 import ast
+import copy
+import pickle
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +16,7 @@ import pytest
 
 from symplat import comppair, covers, matrix, pollat
 from symplat.comppair import complement, preset_m2
-from symplat.errors import CertificationError
+from symplat.errors import CertificationError, _Immutable
 from symplat.lattice import Lattice
 from symplat.matrix import Mat
 from symplat.pollat import (
@@ -344,6 +347,35 @@ def test_value_classes_refuse_assignment_and_deletion(name):
     with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
         delattr(value, slot)
     assert getattr(value, slot) is kept
+
+
+def _same_value(a, b):
+    """Equal values: by their own ``==`` where the class has one, else slot by slot."""
+    if isinstance(a, _Immutable) and type(a).__eq__ is object.__eq__:
+        return type(a) is type(b) and all(
+            _same_value(getattr(a, name), getattr(b, name)) for name in type(a).__slots__
+        )
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same_value, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_value(a[key], b[key]) for key in a)
+    return a == b
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_classes_copy_as_themselves_and_survive_pickle(name):
+    value = VALUES[name]()
+    assert copy.copy(value) is value
+    assert copy.deepcopy(value) is value
+    assert copy.deepcopy([value, value])[1] is value
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        restored = pickle.loads(pickle.dumps(value, protocol))
+        assert type(restored) is type(value) and restored is not value
+        assert _same_value(restored, value)
+        if type(value).__eq__ is not object.__eq__:
+            assert restored == value and hash(restored) == hash(value)
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(restored, type(value).__slots__[0], None)
 
 
 def test_one_immutability_guard():

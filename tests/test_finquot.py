@@ -4,9 +4,11 @@ from fractions import Fraction
 from math import gcd, prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from symplat.comppair import ker_mu_of_pair
+from symplat.covers import standard_cover
 from symplat.errors import BudgetError, DomainError
 from symplat.finquot import (
     FiniteQuotient,
@@ -17,8 +19,8 @@ from symplat.finquot import (
     is_maximal_isotropic,
     orthogonal_subgroup,
 )
-from symplat.lattice import Lattice
-from symplat.matrix import Mat
+from symplat.lattice import Lattice, _inclusion
+from symplat.matrix import Mat, hermite_basis
 from symplat.pollat import (
     PolarizedLattice,
     standard_principal,
@@ -574,3 +576,87 @@ def test_trivial_quotient_has_one_subgroup(Q0):
     p = PairingOnQuotient(Q, Mat.zero(n, n))
     assert enumerate_subgroups(Q) == generator_enumerate(Q) == [Q]
     assert enumerate_mti(Q, p) == generator_enumerate(Q, p) == [Q]
+
+
+# -- survivors kept as Hermite keys against the build-then-sort fallback -----
+
+@st.composite
+def changed_diagonal_pairings(draw):
+    """A drawn diagonal pairing moved by a drawn unimodular U.
+
+    (U lower, U upper) with the form U^-T F U^-1 is the same group with the
+    same pairing; its adapted basis is mostly not a scalar matrix.
+    """
+    Q, p = draw(diagonal_pairings())
+    k = Q.lower.ambient_dim
+    rows = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(draw(st.integers(1, 6))):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        if i != j:
+            rows[i] = [x + draw(st.integers(-2, 2)) * y for x, y in zip(rows[i], rows[j])]
+    U = Mat(rows, ncols=k)
+    Uinv = U.inverse()
+    moved = FiniteQuotient(Lattice(k, U * Q.lower.basis), Lattice(k, U * Q.upper.basis))
+    return moved, PairingOnQuotient(moved, Uinv.T * p.form * Uinv)
+
+
+def _count_hermite_builds(mp):
+    """Record every survivor built from its Hermite key, in build order."""
+    built = []
+    real = FiniteQuotient._over_hermite
+
+    def counted(lower, c, keys):
+        quotients = real(lower, c, keys)
+        built.extend(quotients)
+        return quotients
+
+    mp.setattr(FiniteQuotient, "_over_hermite", counted)
+    return built
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.one_of(diagonal_pairings(), changed_diagonal_pairings()))
+def test_hermite_keys_and_the_fallback_match_the_generator(case):
+    # a divisibility chain d gives Wsub = I and the fast path; other d, and
+    # most changes of basis, fall back to building and then sorting
+    Q, p = case
+    with pytest.MonkeyPatch.context() as mp:
+        built = _count_hermite_builds(mp)
+        found = enumerate_subgroups(Q) + enumerate_mti(Q, p)
+    assert found == generator_enumerate(Q) + generator_enumerate(Q, p)
+    event("Hermite keys" if built else "fallback")
+    # either every survivor is built from its key, or none is
+    assert built == [] or all(a is b for a, b in zip(built, found, strict=True))
+    for S in built:
+        assert S._coords == _inclusion(S.lower, S.upper)
+        assert hermite_basis(S.upper.basis) == S.upper.basis
+
+
+def _ker_mu(g, m):
+    return ker_mu_of_pair(standard_cover(g, m).pair(), m)
+
+
+@pytest.mark.parametrize("make, keys", [
+    (lambda: torsion_subgroup(standard_principal(2), 3), True),
+    (lambda: torsion_subgroup(standard_principal(2), 4), True),
+    (lambda: _torsion_with_form((1, 0), 6), True),
+    (lambda: _ker_mu(2, 4), False),  # d = 1 columns
+    (lambda: _ker_mu(3, 2), False),
+], ids=["census-2-3", "census-2-4", "degenerate-6", "ker-mu-2-4", "ker-mu-3-2"])
+def test_which_quotients_keep_hermite_keys(monkeypatch, make, keys):
+    Q, p = make()
+    built = _count_hermite_builds(monkeypatch)
+    found = enumerate_mti(Q, p)
+    assert found == generator_enumerate(Q, p)
+    assert len(built) == (len(found) if keys else 0)
+
+
+def test_a_hermite_key_must_contain_lower():
+    Z2 = Lattice.standard(2)
+    with pytest.raises(DomainError, match="^lower lattice is not contained in the upper one$"):
+        # Z^2 is fine, 2Z + Z misses (1, 0)
+        FiniteQuotient._over_hermite(Z2, 1, [((1, 0), (0, 1)), ((2, 0), (0, 1))])
+    (S,) = FiniteQuotient._over_hermite(Z2.scaled(2), Fraction(1, 2), [((1, 0), (1, 2))])
+    half = Lattice.from_generators(2, [(Fraction(1, 2), Fraction(1, 2)), (0, 1)])
+    assert S == FiniteQuotient(Z2.scaled(2), half)
+    assert S._coords == _inclusion(S.lower, S.upper) and S.order == 8
