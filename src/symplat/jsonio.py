@@ -36,8 +36,8 @@ __all__ = [
 
 
 def frac_to_str(x):
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    # an int or a Fraction already prints as "n" or "n/d"; a bool does not
+    return str(x) if type(x) is int or type(x) is Fraction else str(Fraction(x))
 
 
 def frac_from_str(s):

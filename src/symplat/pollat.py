@@ -78,8 +78,9 @@ class PolarizationType(_Immutable):
 class PolarizedLattice(_Immutable):
     """A lattice of rank 2n with an integral nondegenerate alternating form.
 
-    One Smith form of the Gram matrix decides the rest: its diagonal is
-    (d1, d1, d2, d2, ...) for the type (d1, d2, ...), ending in 0 when degenerate.
+    A Gram matrix of determinant 1 is principal, of type (1, ..., 1).  Any
+    other takes one Smith form: its diagonal is (d1, d1, d2, d2, ...) for the
+    type (d1, d2, ...), ending in 0 when degenerate.
     ``_not_integral`` replaces the error raised when the form is not integral.
     """
 
@@ -95,11 +96,15 @@ class PolarizedLattice(_Immutable):
         gram = lattice.basis.T * form * lattice.basis
         if not gram.is_integral():
             raise _not_integral or DomainError("form is not integral on the lattice")
-        _, D, _ = smith_normal_form(gram)
-        diag = [D.rows[i][i] for i in range(lattice.rank)]
-        if diag and diag[-1] == 0:
-            raise DomainError("form is degenerate on the lattice span")
-        certify("alternating Gram invariants", {"snf-pairing": diag[0::2] == diag[1::2]})
+        if gram.det() == 1:
+            # unimodular, so every Smith entry is 1; det = Pf^2 is never -1
+            diag = [1] * lattice.rank
+        else:
+            _, D, _ = smith_normal_form(gram)
+            diag = [D.rows[i][i] for i in range(lattice.rank)]
+            if diag and diag[-1] == 0:
+                raise DomainError("form is degenerate on the lattice span")
+            certify("alternating Gram invariants", {"snf-pairing": diag[0::2] == diag[1::2]})
         self._fill(lattice, form, gram, PolarizationType(diag[0::2]))
 
     @property

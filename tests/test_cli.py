@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symplat import cli, covers
+from symplat import cli, covers, pollat
 from symplat.cli import (
     EXIT_BUDGET,
     EXIT_CERTIFICATION,
@@ -25,6 +25,7 @@ from symplat.cli import (
 from symplat.covers import VoltageAssignment, cyclic_cover, ker_mu_basis, standard_cover
 from symplat.finquot import FiniteQuotient
 from symplat.jsonio import SCHEMA, cover_to_obj, dumps_canonical
+from symplat.lattice import Lattice
 
 from conftest import voltage_covers, welters_by_classifying
 
@@ -81,6 +82,15 @@ def test_quotient_mode_one_builds_only_what_it_prints(monkeypatch):
     # one survivor is built and certified; the other two quotients are the
     # 2-torsion itself and the radical of its pairing
     assert (sum(built), sum(certified), sum(inits)) == (1, 1, 2)
+
+
+def test_principal_census_takes_no_smith_form(monkeypatch):
+    # a Gram of determinant 1 is principal; only the others take a Smith form
+    snfs = _record_calls(monkeypatch, pollat, "smith_normal_form")
+    p = payload(["quotient", "--g", "2", "--m", "3", "--mode", "all"])
+    assert (p["count"], len(snfs)) == (40, 0)
+    pollat.PolarizedLattice(Lattice.standard(2), pollat.symplectic_form(1) * 2)
+    assert len(snfs) == 1
 
 
 @pytest.mark.parametrize("g, m", [(1, 2), (2, 2), (2, 3), (1, 4), (1, 6), (2, 4)])
@@ -332,7 +342,7 @@ def test_forced_failure_under_python_O_exits_1():
         "    for row in self.w[:self.m]:\n"
         "        row[i], row[j] = row[j], row[i]\n"
         "matrix._SnfState.swap_cols = swap_cols_in_a_only\n"
-        "sys.exit(cli.main(['quotient', '--g', '1', '--m', '2']))\n"
+        "sys.exit(cli.main(['cover', '--g', '1', '--m', '2']))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)

@@ -63,8 +63,9 @@ def force_snf_transforms(monkeypatch):
 
 
 def force_snf_pairing(monkeypatch):
-    _with_diagonal_entry(monkeypatch, pollat, 0, 2)  # (2, 1) does not pair up
-    return lambda: standard_principal(1)
+    # a unimodular Gram takes no Smith form, so the form is 2J: D = (2, 2)
+    _with_diagonal_entry(monkeypatch, pollat, 0, 1)  # (1, 2) does not pair up
+    return lambda: pollat.PolarizedLattice(Lattice.standard(2), pollat.symplectic_form(1) * 2)
 
 
 def force_quotient_principal(monkeypatch):

@@ -593,7 +593,8 @@ def changed_diagonal_pairings(draw):
     for _ in range(draw(st.integers(1, 6))):
         i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
         if i != j:
-            rows[i] = [x + draw(st.integers(-2, 2)) * y for x, y in zip(rows[i], rows[j])]
+            c = draw(st.integers(-2, 2))  # one multiplier per row operation keeps U unimodular
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
     U = Mat(rows, ncols=k)
     Uinv = U.inverse()
     moved = FiniteQuotient(Lattice(k, U * Q.lower.basis), Lattice(k, U * Q.upper.basis))

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symplat.errors import DomainError
 from symplat.jsonio import (
@@ -32,6 +34,21 @@ def test_frac_round_trip():
         frac_from_str("x/y")
     with pytest.raises(DomainError):
         frac_from_str("1/0")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.integers(),
+    st.fractions(),
+    st.builds(lambda k, d: Fraction(k * d, d), st.integers(), st.integers(1, 9)),
+))
+def test_frac_to_str_is_the_string_of_its_fraction(x):
+    # ints of either sign, integral Fractions such as Fraction(4, 2), proper Fractions
+    assert frac_to_str(x) == str(Fraction(x))
+
+
+def test_frac_to_str_of_a_bool_is_its_integer():
+    assert (frac_to_str(True), frac_to_str(False)) == ("1", "0")
 
 
 def test_mat_round_trip():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from symplat import pollat
 from symplat.errors import CertificationError, DomainError, IsotropyError
 from symplat.finquot import FiniteQuotient, enumerate_mti, orthogonal_subgroup
 from symplat.lattice import Lattice, index
@@ -271,7 +272,7 @@ def test_rank_zero_polarized():
     assert dual_lattice(P).rank == 0
 
 
-# -- the type, nondegeneracy and pairing from one Smith form -----------------
+# -- the type, nondegeneracy and pairing: determinant 1, else one Smith form --
 
 @st.composite
 def scaled_forms(draw, degenerate=False):
@@ -309,3 +310,42 @@ def test_drawn_degenerate_form_is_refused(case):
     A, J = case
     with pytest.raises(DomainError, match="^form is degenerate on the lattice span$"):
         PolarizedLattice(Lattice(A.nrows, A), J)
+
+
+@st.composite
+def unimodular_changes(draw, d):
+    """(c Z^2g, A^T J_d A / c^2): g <= 3, c in {1, 2, 3}, A a product of elementary matrices.
+
+    J_d is J_g with one block scaled by d, so the lattice has Gram matrix
+    A^T J_d A, of determinant d^2.
+    """
+    g = draw(st.integers(1, 3))
+    n, c = 2 * g, draw(st.integers(1, 3))
+    A = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        k = draw(st.sampled_from((-2, -1, 1, 2)))
+        A[i] = [a + k * b for a, b in zip(A[i], A[j])]
+    J = [list(row) for row in symplectic_form(g).rows]
+    i = draw(st.integers(0, g - 1))
+    J[i][g + i], J[g + i][i] = d, -d
+    A = Mat(A, ncols=n)
+    return Lattice.standard(n).scaled(c), A.T * Mat(J, ncols=n) * A * Fraction(1, c * c)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 0])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_smith_form_is_taken_only_off_determinant_one(d, data):
+    L, form = data.draw(unimodular_changes(d))
+    invariants = minor_gcd_invariants(L.basis.T * form * L.basis)
+    real, snfs = pollat.smith_normal_form, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pollat, "smith_normal_form", lambda M: snfs.append(M) or real(M))
+        if d == 0:
+            with pytest.raises(DomainError, match="^form is degenerate on the lattice span$"):
+                PolarizedLattice(L, form)
+        else:
+            assert polarization_type(PolarizedLattice(L, form)).chain == invariants[0::2]
+    assert invariants[0::2] == invariants[1::2]
+    assert len(snfs) == (d != 1)
