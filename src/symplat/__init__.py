@@ -37,7 +37,6 @@ from .pollat import (
     PolarizedLattice,
     adjoint_map,
     dual_lattice,
-    dual_polarization,
     ker_lambda,
     ker_mu,
     ker_mu_pairing,
@@ -64,7 +63,6 @@ from .covers import (
     classify_mti_K,
     cyclic_cover,
     eta_class,
-    homology_with_form,
     ker_mu_basis,
     norm_component_group,
     prym_sublattice,

@@ -145,6 +145,8 @@ def j_endomorphism(pair, m):
     (j-1)(j+m-1) = 0, has ker(1-j) saturated equal to A and ker(j+m-1) equal
     to B, and is E-self-adjoint through 1-j = m*pr_B.
     """
+    if m < 1:
+        raise DomainError("m must be >= 1")
     # A∩B ≅ ker λ_B, so its exponent is the last (largest) entry of the type of B
     if m % max(polarization_type(pair.restricted(pair.sub_B)), default=1) != 0:
         raise DomainError("exponent of A∩B must divide m")

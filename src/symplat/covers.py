@@ -35,7 +35,6 @@ __all__ = [
     "VoltageAssignment",
     "CoverHomology",
     "surface_ribbon",
-    "homology_with_form",
     "cyclic_cover",
     "standard_cover",
     "prym_sublattice",
@@ -138,13 +137,6 @@ class RibbonGraph(_Immutable):
         if chi % 2 != 0 or chi > 2:
             raise DomainError("rotation system does not define a closed surface")
         return (2 - chi) // 2
-
-    def is_connected(self):
-        try:
-            _spanning_tree(self)
-        except DomainError:
-            return False
-        return True
 
 
 class VoltageAssignment(_Immutable):
@@ -272,11 +264,6 @@ def _chord_sign(pos, n, f, g):
     if t_gout < t_out < t_gin:
         return -1
     return 0
-
-
-def homology_with_form(R):
-    """H_1 of the closed surface of R, as a principal polarized lattice."""
-    return _build_homology(R).polarized
 
 
 def _build_homology(R, spanning=None):

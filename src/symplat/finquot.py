@@ -112,17 +112,6 @@ class FiniteQuotient(_Immutable):
     def element(self, vector):
         return QuotientElement(self, vector)
 
-    def elements(self, budget=DEFAULT_BUDGET):
-        """All elements, in a deterministic order."""
-        if self.order > budget:
-            raise BudgetError(f"group of order {self.order} exceeds budget {budget}")
-        W, diag = self._adapted()
-        out = []
-        for ks in product(*(range(d) for d in diag)):
-            vec = W.apply(ks)
-            out.append(QuotientElement(self, vec))
-        return out
-
     def subgroup(self, elements):
         """The subgroup generated by the given elements (or raw vectors)."""
         elements = list(elements)
@@ -210,9 +199,6 @@ class QuotientElement(_Immutable):
 
     __rmul__ = __mul__
 
-    def is_zero(self):
-        return not any(self.c)
-
     def order(self):
         return lcm(*(Fraction(a).denominator for a in self.c))
 
@@ -242,13 +228,6 @@ class PairingOnQuotient(_Immutable):
             raise DomainError("pairing is not well-defined: form(upper, lower) not integral")
         self._fill(quotient, form, upper_form)  # orthogonal_subgroup reads these three
         object.__setattr__(self, "_radical_order", orthogonal_subgroup(quotient, self).order)
-
-    def value(self, x, y):
-        """The pairing value x^T * form * y in Q/Z, reduced into [0, 1)."""
-        xv = x.rep if isinstance(x, QuotientElement) else tuple(x)
-        yv = y.rep if isinstance(y, QuotientElement) else tuple(y)
-        raw = Fraction(sum(a * b for a, b in zip(xv, self.form.apply(yv))))
-        return raw - (raw.numerator // raw.denominator)
 
 
 def is_isotropic(S, p):

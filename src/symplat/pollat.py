@@ -24,7 +24,6 @@ __all__ = [
     "dual_lattice",
     "ker_lambda",
     "torsion_subgroup",
-    "dual_polarization",
     "ker_mu",
     "ker_mu_pairing",
     "quotient_by_isotropic",
@@ -176,29 +175,19 @@ def torsion_subgroup(P, m):
     return Q, PairingOnQuotient(Q, P.form * m)
 
 
-def _check_divides(P, m):
-    """The dual lattice, once every d_i divides m (so m * dual ⊆ lattice)."""
+def ker_mu(P, m):
+    """ker of mu: ((1/m)L) / L^dual, for the dual polarization at level m.
+
+    The dual abelian variety is (L^dual, m*E), of type (m/d_n, ..., m/d_1),
+    and mu: L^dual -> L is multiplication by m, so lambda∘mu = [m] and ker mu
+    is ker lambda of the dual.  Requires m >= 1 and every d_i | m.
+    """
+    if m < 1:
+        raise DomainError("level m must be >= 1")
     t = polarization_type(P)
     if any(m % d for d in t):
         raise DomainError(f"polarization type {t.chain} does not divide m={m}")
-    return dual_lattice(P)
-
-
-def dual_polarization(P, m):
-    """The dual abelian variety (L^dual, m*E) and mu with lambda∘mu = [m].
-
-    Requires every d_i | m.  The type of the dual is (m/d_n, ..., m/d_1).
-    """
-    dual = _check_divides(P, m)
-    P_dual = PolarizedLattice(dual, P.form * m)
-    mu = LatticeMap(Mat.identity(P.ambient_dim) * m, P_dual.lattice, P.lattice)
-    return P_dual, mu
-
-
-def ker_mu(P, m):
-    """ker of mu: ((1/m)L) / L^dual, for the dual polarization at level m."""
-    dual = _check_divides(P, m)
-    return FiniteQuotient(dual, P.lattice.scaled(Fraction(1, m)))
+    return FiniteQuotient(dual_lattice(P), P.lattice.scaled(Fraction(1, m)))
 
 
 def ker_mu_pairing(P, m):

@@ -17,6 +17,7 @@ from symplat.cli import EXIT_OK, EXIT_VALIDATION
 from symplat.comppair import ker_mu_of_pair, welters_construct
 from symplat.covers import (
     RibbonGraph,
+    _build_homology,
     birational_predicate,
     classify_mti_K,
     eta_class,
@@ -40,7 +41,7 @@ from symplat.lattice import (
     preimage_lattice,
 )
 from symplat.matrix import Mat, hermite_column_form, smith_normal_form, xgcd
-from symplat.pollat import polarization_type
+from symplat.pollat import LatticeMap, PolarizedLattice, dual_lattice, polarization_type
 
 
 # -- cover fixtures shared across modules ------------------------------------
@@ -191,6 +192,33 @@ def snf_order(Q):
 def preimage_under_mult(S, m):
     """The preimage [m]^{-1} S of a subgroup S: its upper lattice scaled by 1/m."""
     return FiniteQuotient(S.lower, S.upper.scaled(Fraction(1, m)))
+
+
+def dual_polarization(P, m):
+    """The dual abelian variety (L^dual, m*E) and mu = [m]: L^dual -> L, so lambda∘mu = [m].
+
+    Defined once every d_i | m; the type of the dual is then (m/d_n, ..., m/d_1).
+    """
+    P_dual = PolarizedLattice(dual_lattice(P), P.form * m)
+    mu = LatticeMap(Mat.identity(P.ambient_dim) * m, P_dual.lattice, P.lattice)
+    return P_dual, mu
+
+
+def homology_with_form(R):
+    """H_1 of the closed surface of R, as a principal polarized lattice."""
+    return _build_homology(R).polarized
+
+
+def quotient_elements(Q):
+    """All elements of Q, as the combinations of its adapted basis with coefficients in [0, d_i)."""
+    W, diag = Q._adapted()
+    return [Q.element(W.apply(ks)) for ks in product(*(range(d) for d in diag))]
+
+
+def pairing_value(p, x, y):
+    """The value x^T * form * y of the pairing p on two quotient elements, in [0, 1)."""
+    raw = Fraction(sum(a * b for a, b in zip(x.rep, p.form.apply(y.rep))))
+    return raw - (raw.numerator // raw.denominator)
 
 
 def same_span_by_rank(L, M):

@@ -166,6 +166,12 @@ def test_j_exponent_precondition():
         j_endomorphism(pair, 3)  # exponent of A∩B is 2, does not divide 3
 
 
+@pytest.mark.parametrize("m", [0, -2])
+def test_j_refuses_a_nonpositive_m(cover22, m):
+    with pytest.raises(DomainError, match="^m must be >= 1$"):
+        j_endomorphism(cover22.pair(), m)
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_j_swap_identity(m):
     ambient = standard_principal(2)
@@ -252,6 +258,12 @@ def test_welters_fails_fast_on_bad_divisibility():
     pair = complement(P, sub_B)
     with pytest.raises(DomainError):
         ker_mu_of_pair(pair, 2)
+
+
+@pytest.mark.parametrize("m", [0, -2])
+def test_ker_mu_of_pair_refuses_a_nonpositive_level(cover22, m):
+    with pytest.raises(DomainError, match="^level m must be >= 1$"):
+        ker_mu_of_pair(cover22.pair(), m)
 
 
 def test_preset_jacobian_rank4():

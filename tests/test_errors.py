@@ -27,7 +27,7 @@ from symplat.pollat import (
     torsion_subgroup,
 )
 
-from conftest import subdivided_surface
+from conftest import homology_with_form, subdivided_surface
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "symplat"
 
@@ -119,7 +119,7 @@ def force_tree_loop(monkeypatch):
     R = covers.surface_ribbon(1)
     # a one-vertex graph: contracting edge 0 would contract a loop
     monkeypatch.setattr(covers, "_spanning_tree", lambda R: ({0}, {0: (0,) * R.n_edges}))
-    return lambda: covers.homology_with_form(R)
+    return lambda: homology_with_form(R)
 
 
 def force_tree_vertices(monkeypatch):
@@ -127,7 +127,7 @@ def force_tree_vertices(monkeypatch):
     real = covers._spanning_tree
     # contracting no edge leaves both vertices
     monkeypatch.setattr(covers, "_spanning_tree", lambda R: (set(), *real(R)[1:]))
-    return lambda: covers.homology_with_form(R)
+    return lambda: homology_with_form(R)
 
 
 def force_face_cycle(monkeypatch):
@@ -137,38 +137,38 @@ def force_face_cycle(monkeypatch):
     # still lies in the radical
     unit = tuple(int(i == e) for i in range(R.n_edges))
     monkeypatch.setattr(covers.RibbonGraph, "face_vectors", lambda self: [unit])
-    return lambda: covers.homology_with_form(R)
+    return lambda: homology_with_form(R)
 
 
 def force_face_radical(monkeypatch):
     R = _two_face_graph()
     monkeypatch.setattr(covers, "_chord_sign", lambda pos, n, f, g: 1)
-    return lambda: covers.homology_with_form(R)
+    return lambda: homology_with_form(R)
 
 
 def force_face_rank(monkeypatch):
     R = covers.surface_ribbon(1)  # one face with zero boundary: rank 0, now 1
     _with_diagonal_entry(monkeypatch, covers, 0, 1)
-    return lambda: covers.homology_with_form(R)
+    return lambda: homology_with_form(R)
 
 
 def force_face_saturated(monkeypatch):
     R = _two_face_graph()  # face relations of rank 1, now with divisor 2
     _with_diagonal_entry(monkeypatch, covers, 0, 2)
-    return lambda: covers.homology_with_form(R)
+    return lambda: homology_with_form(R)
 
 
 def force_h1_rank(monkeypatch):
     R = covers.surface_ribbon(1)
     real = covers.RibbonGraph.genus
     monkeypatch.setattr(covers.RibbonGraph, "genus", lambda self: real(self) + 1)
-    return lambda: covers.homology_with_form(R)
+    return lambda: homology_with_form(R)
 
 
 def force_h1_principal(monkeypatch):
     R = covers.surface_ribbon(1)
     monkeypatch.setattr(covers, "polarization_type", lambda P: PolarizationType((2,)))
-    return lambda: covers.homology_with_form(R)
+    return lambda: homology_with_form(R)
 
 
 def force_cover_genus(monkeypatch):
@@ -323,7 +323,7 @@ VALUES = {
     "Mat": lambda: Mat.identity(2),
     "Lattice": lambda: Lattice.standard(2),
     "FiniteQuotient": lambda: torsion_subgroup(standard_principal(1), 2)[0],
-    "QuotientElement": lambda: torsion_subgroup(standard_principal(1), 2)[0].elements()[1],
+    "QuotientElement": lambda: torsion_subgroup(standard_principal(1), 2)[0].element((0, Fraction(1, 2))),
     "PairingOnQuotient": lambda: torsion_subgroup(standard_principal(1), 2)[1],
     "PolarizationType": lambda: PolarizationType((1, 2)),
     "PolarizedLattice": lambda: standard_principal(1),

@@ -18,7 +18,6 @@ from symplat.pollat import (
     PolarizedLattice,
     adjoint_map,
     dual_lattice,
-    dual_polarization,
     ker_lambda,
     ker_mu,
     ker_mu_pairing,
@@ -30,7 +29,7 @@ from symplat.pollat import (
     torsion_subgroup,
 )
 
-from conftest import minor_gcd_invariants
+from conftest import dual_polarization, minor_gcd_invariants, pairing_value
 
 
 def type_1m_rank4(m):
@@ -110,7 +109,7 @@ def test_torsion_subgroup():
     Q3, p3 = torsion_subgroup(P4, 3)
     assert Q3.invariants == (3, 3, 3, 3)
     basis = [Q3.element(tuple(Fraction(x, 3) for x in col)) for col in Mat.identity(4).columns()]
-    as_z3 = [[int(3 * p3.value(a, b)) % 3 for b in basis] for a in basis]
+    as_z3 = [[int(3 * pairing_value(p3, a, b)) % 3 for b in basis] for a in basis]
     J2 = symplectic_form(2)
     assert as_z3 == [[J2.rows[i][j] % 3 for j in range(4)] for i in range(4)]
 
@@ -138,8 +137,15 @@ def test_dual_polarization_type_reversal():
 
 
 def test_dual_polarization_requires_divisibility():
-    with pytest.raises(DomainError):
-        dual_polarization(type_1m_rank4(2), 3)
+    with pytest.raises(DomainError, match=r"^polarization type \(1, 2\) does not divide m=3$"):
+        ker_mu(type_1m_rank4(2), 3)
+
+
+@pytest.mark.parametrize("call", [ker_mu, ker_mu_pairing])
+@pytest.mark.parametrize("m", [0, -2])
+def test_ker_mu_refuses_a_nonpositive_level(call, m):
+    with pytest.raises(DomainError, match="^level m must be >= 1$"):
+        call(standard_principal(1), m)
 
 
 def test_mu_composes_to_multiplication():
