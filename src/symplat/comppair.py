@@ -182,8 +182,6 @@ def welters_construct(pair, K, m):
     over the dual lattice of B).  The returned certificate records every
     identity checked; any failure raises CertificationError naming it.
     """
-    if m < 1:
-        raise DomainError("m must be >= 1")
     ambient = pair.ambient
     Qmu, pmu = ker_mu_of_pair(pair, m)
     if not K.is_subgroup_of(Qmu):

@@ -2,16 +2,17 @@
 
 A closed oriented surface is modeled by a ribbon graph (a graph with cyclic
 orderings of the half-edge darts at each vertex); its first homology carries
-the intersection form, computed exactly by contracting a spanning tree to a
-single vertex and counting signed chord crossings in the merged rotation.
+the intersection form, computed exactly by counting signed chord crossings in
+the rotation that one walk around a BFS spanning tree reads off.
 
-A Z/m voltage assignment on the edges produces the derived covering graph
-with its lifted ribbon structure, hence the homology of an m-fold cyclic
-unramified cover together with the deck action, the norm (pushforward) and
-the transfer.  Edge (e, s) of the derived graph is edge e*m + s, and the chain
-maps act on the edge-space rows of the homology representatives by index:
-the deck action sigma takes row (e, s-1) for edge (e, s), pi_* sums the m
-rows of edge e, and pi^* copies row e to every (e, s).
+A Z/m voltage assignment on the edges whose base cycle voltages generate Z/m
+produces the connected derived covering graph with its lifted ribbon
+structure, hence the homology of an m-fold cyclic unramified cover with the
+deck action, the norm (pushforward) and the transfer.  Edge (e, s) of the
+derived graph is edge e*m + s, and the chain maps act on the edge-space rows
+of the homology representatives by index: the deck action sigma takes row
+(e, s-1) for edge (e, s), pi_* sums the m rows of edge e, and pi^* copies
+row e to every (e, s).
 
 The classical facts about such covers -- the Prym pair, the component group
 of the norm kernel, the torsion class attached to the cover, the
@@ -86,28 +87,15 @@ class RibbonGraph(_Immutable):
     def n_vertices(self):
         return len(self.rotations)
 
-    @property
-    def n_darts(self):
-        return 2 * self.n_edges
-
     @staticmethod
     def partner(d):
         return d ^ 1
-
-    def tail_vertex(self, e):
-        return self.vertex_of[2 * e]
-
-    def head_vertex(self, e):
-        return self.vertex_of[2 * e + 1]
-
-    def rotation_successor(self, d):
-        return self.successor[d]
 
     def faces(self):
         """Face boundaries as dart orbits of d -> successor(partner(d))."""
         seen = set()
         out = []
-        for start in range(self.n_darts):
+        for start in range(2 * self.n_edges):
             if start in seen:
                 continue
             orbit = []
@@ -115,7 +103,7 @@ class RibbonGraph(_Immutable):
             while d not in seen:
                 seen.add(d)
                 orbit.append(d)
-                d = self.rotation_successor(self.partner(d))
+                d = self.successor[self.partner(d)]
             out.append(tuple(orbit))
         return out
 
@@ -181,10 +169,10 @@ class _Homology(_Immutable):
     transfers) can be transported to H_1 exactly.
     """
 
-    __slots__ = ("graph", "polarized", "fund_cycles", "nontree", "proj", "section")
+    __slots__ = ("polarized", "fund_cycles", "nontree", "proj", "section")
 
-    def __init__(self, graph, polarized, fund_cycles, nontree, proj, section):
-        self._fill(graph, polarized, fund_cycles, nontree, proj, section)
+    def __init__(self, polarized, fund_cycles, nontree, proj, section):
+        self._fill(polarized, fund_cycles, nontree, proj, section)
 
     def to_homology(self, rows):
         """Homology columns of the 1-cycles that are the columns of ``rows``.
@@ -193,8 +181,7 @@ class _Homology(_Immutable):
         """
         cycles = Mat(rows)
         coords = Mat([rows[f] for f in self.nontree], ncols=cycles.ncols)
-        if self.fund_cycles * coords != cycles:
-            raise DomainError("edge vector is not a cycle of the graph")
+        certify("chain vectors are cycles", {"chain-cycle": self.fund_cycles * coords == cycles})
         return self.proj * coords
 
     def homology_to_edges(self):
@@ -229,22 +216,25 @@ def _spanning_tree(R):
 
 
 def _contract_tree(R, tree):
-    """Contract the tree edges; returns the merged rotation (list of darts)."""
-    rotations = {v: list(rot) for v, rot in enumerate(R.rotations)}
-    vertex_of = dict(R.vertex_of)
-    for e in sorted(tree):
-        d_t, d_h = 2 * e, 2 * e + 1
-        u, v = vertex_of[d_t], vertex_of[d_h]
-        certify("tree edge contraction", {"tree-contract": u != v})
-        rot_u, rot_v = rotations[u], rotations[v]
-        iu, iv = rot_u.index(d_t), rot_v.index(d_h)
-        merged = rot_u[iu + 1:] + rot_u[:iu] + rot_v[iv + 1:] + rot_v[:iv]
-        rotations[u] = merged
-        del rotations[v]
-        for d in merged:
-            vertex_of[d] = u
-    certify("tree contraction to one vertex", {"tree-contract": len(rotations) == 1})
-    return next(iter(rotations.values()))
+    """The rotation at the one vertex left by contracting the tree edges.
+
+    One walk from a dart of vertex 0: a tree dart crosses to its partner, any
+    other dart is kept, and each step moves to the rotation successor.
+    """
+    merged = []
+    for start in R.rotations[0][:1]:
+        d = start
+        while True:
+            if d // 2 in tree:
+                d = R.partner(d)
+            else:
+                merged.append(d)
+            d = R.successor[d]
+            if d == start:
+                break
+    kept_once = sorted(merged) == [d for d in range(2 * R.n_edges) if d // 2 not in tree]
+    certify("tree contraction to one vertex", {"tree-contract": kept_once})
+    return merged
 
 
 def _chord_sign(pos, n, f, g):
@@ -266,20 +256,18 @@ def _chord_sign(pos, n, f, g):
     return 0
 
 
-def _build_homology(R, spanning=None):
-    """The homology of R, given ``_spanning_tree(R)`` if it is already known."""
-    tree, chains = spanning or _spanning_tree(R)
+def _build_homology(R):
+    """The homology of the filled surface of R, with its intersection form."""
+    tree, chains = _spanning_tree(R)
     nontree = [e for e in range(R.n_edges) if e not in tree]
 
     cycles = []
     for f in nontree:
         vec = [0] * R.n_edges
         vec[f] = 1
-        head = R.head_vertex(f)
-        tail = R.tail_vertex(f)
-        for e, c in enumerate(chains[head]):
+        for e, c in enumerate(chains[R.vertex_of[2 * f + 1]]):
             vec[e] += c
-        for e, c in enumerate(chains[tail]):
+        for e, c in enumerate(chains[R.vertex_of[2 * f]]):
             vec[e] -= c
         cycles.append(tuple(vec))
     L = len(nontree)
@@ -327,7 +315,7 @@ def _build_homology(R, spanning=None):
     form = section.T * gram * section
     P = PolarizedLattice(Lattice.standard(h), form)
     certify("unimodular intersection form", {"h1-principal": polarization_type(P).is_principal})
-    return _Homology(R, P, fund_cycles, nontree, proj, section)
+    return _Homology(P, fund_cycles, nontree, proj, section)
 
 
 class CoverHomology(_Immutable):
@@ -367,9 +355,7 @@ class CoverHomology(_Immutable):
 
     def voltage_functional(self):
         """The monodromy functional on base homology (Z/m valued on H_1)."""
-        reps = self._base_h.homology_to_edges()
-        w_edges = Mat([self.voltages.values], ncols=self.base_graph.n_edges)
-        return w_edges * reps
+        return _monodromy(self._base_h, self.voltages)
 
     def __repr__(self):
         return f"CoverHomology(g={self.g}, m={self.m}, cover_genus={self.cover_genus})"
@@ -378,8 +364,8 @@ class CoverHomology(_Immutable):
 def cyclic_cover(R, voltages, m):
     """The derived m-sheeted cover of the ribbon graph R, fully certified.
 
-    Voltages must generate Z/m (connected cover) and every face must have
-    zero total voltage (unramified cover of closed surfaces).  The returned
+    Base cycle voltages must generate Z/m (connected cover) and faces must
+    have zero total voltage (unramified cover of closed surfaces).  The returned
     CoverHomology carries exact matrices for the deck action sigma, the
     pushforward pi_* and the transfer pi^*, certified to satisfy
     sigma symplectic, sigma^m = 1, pi_* pi^* = m, pi^* pi_* = sum sigma^i,
@@ -405,6 +391,9 @@ def cyclic_cover(R, voltages, m):
             )
 
     base_h = _build_homology(R)
+    # the derived graph is connected iff the voltages of the base cycles generate Z/m
+    if gcd(m, *_monodromy(base_h, voltages).rows[0]) != 1:
+        raise DomainError("voltages do not generate Z/m: the cover is disconnected")
     g = R.genus()
 
     # Derived graph: edge (e, s) runs from (tail(e), s) to (head(e), s + v(e)).
@@ -421,12 +410,7 @@ def cyclic_cover(R, voltages, m):
                     rot.append(2 * (e * m + (s - voltages.values[e]) % m) + 1)
             rotations.append(rot)
     cover = RibbonGraph(E * m, rotations)
-    try:
-        spanning = _spanning_tree(cover)  # the one walk of the cover graph
-    except DomainError:
-        raise DomainError("voltages do not generate Z/m: the cover is disconnected")
-
-    total_h = _build_homology(cover, spanning)
+    total_h = _build_homology(cover)
     g_cover = cover.genus()
     genus_ok = g_cover == m * g - m + 1
     certify(f"cover genus {g_cover} = mg-m+1 = {m * g - m + 1}", {"cover-genus": genus_ok})
@@ -460,6 +444,12 @@ def cyclic_cover(R, voltages, m):
         R, voltages, m, cover, base_h, total_h, sigma, pushforward, transfer,
         certify("cover certification", checks),
     )
+
+
+def _monodromy(base_h, voltages):
+    """The voltages of the base homology basis, as one row."""
+    w_edges = Mat([voltages.values], ncols=len(voltages.values))
+    return w_edges * base_h.homology_to_edges()
 
 
 def _power_and_sum(M, m):

@@ -209,6 +209,47 @@ def homology_with_form(R):
     return _build_homology(R).polarized
 
 
+def contract_tree_by_splicing(R, tree):
+    """The rotation left by contracting the tree edges, one splice per edge.
+
+    Contracting edge e from u to v splices v's rotation, read from after e's
+    head dart, into u's rotation in place of e's tail dart.
+    """
+    rotations = {v: list(rot) for v, rot in enumerate(R.rotations)}
+    vertex_of = dict(R.vertex_of)
+    for e in sorted(tree):
+        u, v = vertex_of[2 * e], vertex_of[2 * e + 1]
+        assert u != v, f"tree edge {e} is a loop"
+        rot_u, rot_v = rotations[u], rotations[v]
+        iu, iv = rot_u.index(2 * e), rot_v.index(2 * e + 1)
+        rotations[u] = rot_u[iu + 1:] + rot_u[:iu] + rot_v[iv + 1:] + rot_v[:iv]
+        del rotations[v]
+        for d in rotations[u]:
+            vertex_of[d] = u
+    assert len(rotations) == 1, "the tree does not span"
+    return next(iter(rotations.values()))
+
+
+def derived_graph_is_connected(R, volts, m):
+    """Whether the Z/m derived graph of R is connected, by BFS over (vertex, sheet).
+
+    Edge e joins (tail e, s) to (head e, s + volts[e]) on every sheet s.
+    """
+    adjacent = {(v, s): [] for v in range(R.n_vertices) for s in range(m)}
+    for e in range(R.n_edges):
+        tail, head = R.vertex_of[2 * e], R.vertex_of[2 * e + 1]
+        for s in range(m):
+            adjacent[tail, s].append((head, (s + volts[e]) % m))
+            adjacent[head, (s + volts[e]) % m].append((tail, s))
+    seen, queue = {(0, 0)}, [(0, 0)]
+    for node in queue:
+        for other in adjacent[node]:
+            if other not in seen:
+                seen.add(other)
+                queue.append(other)
+    return len(seen) == len(adjacent)
+
+
 def quotient_elements(Q):
     """All elements of Q, as the combinations of its adapted basis with coefficients in [0, d_i)."""
     W, diag = Q._adapted()

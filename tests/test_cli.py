@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -178,6 +179,10 @@ def test_welters_bad_fixture(tmp_path):
     bad.write_text('{"fixture": [1, 2]}')
     code, _ = run(["welters", str(bad)])
     assert code == EXIT_VALIDATION
+    bad.write_text("[1, 2]")
+    assert run(["welters", str(bad)]) == (
+        EXIT_VALIDATION, "invalid input: fixture file does not contain an object\n"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +247,16 @@ def test_welters_disconnected_fixture_exits_3(tmp_path, fixture22):
     code, text = run(["welters", str(path), "--K", "1:0"])
     assert (code, text) == (
         EXIT_VALIDATION, "invalid input: voltages do not generate Z/m: the cover is disconnected\n"
+    )
+
+
+def test_welters_fixture_with_a_negated_total_form_exits_3(tmp_path, fixture22):
+    obj = json.loads(json.dumps(fixture22))
+    obj["total"]["form"] = [[str(-Fraction(x)) for x in row] for row in obj["total"]["form"]]
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"fixture": obj}))
+    assert run(["welters", str(path), "--K", "1:0"]) == (
+        EXIT_VALIDATION, "invalid input: fixture total lattice disagrees with the rebuilt cover\n"
     )
 
 

@@ -266,6 +266,14 @@ def test_ker_mu_of_pair_refuses_a_nonpositive_level(cover22, m):
         ker_mu_of_pair(cover22.pair(), m)
 
 
+@pytest.mark.parametrize("m", [0, -2])
+def test_welters_construct_refuses_a_nonpositive_level(cover22, m):
+    # the refusal is ker_mu_of_pair's, the first thing welters_construct calls
+    K = covers.lift_mti_label(cover22, 1, 0)
+    with pytest.raises(DomainError, match="^level m must be >= 1$"):
+        welters_construct(cover22.pair(), K, m)
+
+
 def test_preset_jacobian_rank4():
     P = standard_principal(2)
     out = preset_m2("jacobian_quotient", P)

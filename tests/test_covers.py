@@ -1,5 +1,6 @@
 """Ribbon graphs, cyclic covers, and the cover-certification operations."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,8 @@ from symplat.pollat import ker_lambda, polarization_type
 from conftest import (
     birational_by_membership,
     classify_by_lifting_every_label,
+    contract_tree_by_splicing,
+    derived_graph_is_connected,
     dense_chain_maps,
     homology_with_form,
     kernel_identification_by_lattices,
@@ -398,6 +401,76 @@ def test_is_connected_reads_the_spanning_tree(R, connected):
             covers._spanning_tree(R)
 
 
+DISCONNECTED = "^voltages do not generate Z/m: the cover is disconnected$"
+
+
+def _from_least_dart(rotation):
+    """``rotation`` shifted cyclically to start at its least dart."""
+    i = rotation.index(min(rotation))
+    return rotation[i:] + rotation[:i]
+
+
+def _assert_walk_is_spliced_rotation(R):
+    tree = covers._spanning_tree(R)[0]
+    walked = covers._contract_tree(R, tree)
+    assert _from_least_dart(walked) == _from_least_dart(contract_tree_by_splicing(R, tree))
+
+
+@pytest.mark.parametrize("kind", ["surface", "subdivided"])
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_the_tree_walk_is_the_spliced_rotation(kind, g):
+    R = surface_ribbon(g) if kind == "surface" else subdivided_surface(g)
+    _assert_walk_is_spliced_rotation(R)
+
+
+@settings(max_examples=10, deadline=None)
+@given(voltage_covers(st.integers(1, 2), st.integers(2, 4)))
+def test_the_tree_walk_is_the_spliced_rotation_on_derived_graphs(cover):
+    R, volts, m = cover
+    _assert_walk_is_spliced_rotation(cyclic_cover(R, VoltageAssignment(m, volts), m).cover_graph)
+
+
+def _assert_voltage_rule_is_bfs_connectivity(R, volts, m):
+    # every voltage on these one-face graphs is unramified
+    if derived_graph_is_connected(R, volts, m):
+        cov = cyclic_cover(R, VoltageAssignment(m, volts), m)
+        assert cov.cover_graph.n_vertices == R.n_vertices * m
+    else:
+        with pytest.raises(DomainError, match=DISCONNECTED):
+            cyclic_cover(R, VoltageAssignment(m, volts), m)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["surface", "subdivided"])
+def test_the_voltage_rule_is_bfs_connectivity_on_every_torus_voltage(kind, m):
+    R = surface_ribbon(1) if kind == "surface" else subdivided_surface(1)
+    for volts in itertools.product(range(m), repeat=R.n_edges):
+        _assert_voltage_rule_is_bfs_connectivity(R, volts, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_the_voltage_rule_is_bfs_connectivity_on_drawn_voltages(data):
+    m = data.draw(st.integers(2, 6))
+    R = data.draw(st.sampled_from([surface_ribbon(2), subdivided_surface(2)]))
+    volts = data.draw(st.lists(st.integers(0, m - 1), min_size=R.n_edges, max_size=R.n_edges))
+    k = data.draw(st.integers(1, m))  # a k sharing a factor with m often disconnects
+    _assert_voltage_rule_is_bfs_connectivity(R, [v * k % m for v in volts], m)
+
+
+def test_a_disconnected_request_builds_no_derived_graph(monkeypatch):
+    R = subdivided_surface(2)
+    built = []
+    real = covers.RibbonGraph
+    monkeypatch.setattr(covers, "RibbonGraph", lambda *args: built.append(args) or real(*args))
+    # loop voltages a_1 = 2 + 0, b_1 = 0, a_2 = 2, b_2 = 0 generate only 2Z/4
+    with pytest.raises(DomainError, match=DISCONNECTED):
+        cyclic_cover(R, VoltageAssignment(4, [2, 0, 2, 0, 0]), 4)
+    assert built == []
+    cyclic_cover(R, VoltageAssignment(4, [1, 0, 2, 0, 0]), 4)
+    assert len(built) == 1
+
+
 def test_ramified_cover_rejected():
     # a one-loop sphere graph: its two faces each traverse the loop once,
     # so any nonzero voltage has nonzero face total
@@ -413,6 +486,8 @@ def test_voltage_validation():
         cyclic_cover(R, VoltageAssignment(3, [1, 0]), 2)  # modulus mismatch
     with pytest.raises(DomainError):
         cyclic_cover(R, VoltageAssignment(2, [1]), 2)  # wrong length
+    with pytest.raises(DomainError, match="^cover degree must be an int >= 1$"):
+        cyclic_cover(surface_ribbon(2), VoltageAssignment(2, [1, 0, 0, 0]), 2.0)
 
 
 def test_nonstandard_voltage_cover():

@@ -184,6 +184,35 @@ def force_cover_genus(monkeypatch):
     return lambda: covers.cyclic_cover(R, [1, 0, 0, 0], 2)
 
 
+def force_chain_cycle(monkeypatch):
+    R = subdivided_surface(1)
+    (e,) = covers._spanning_tree(R)[0]
+    H = covers._build_homology(R)
+    # no patch: a tree edge alone is no cycle of the two-vertex graph
+    return lambda: H.to_homology([[int(i == e)] for i in range(R.n_edges)])
+
+
+def _doubled_power_and_sum(monkeypatch, k):
+    """Make ``covers._power_and_sum`` return its k-th entry (0: σ^m, 1: Σσ^i) doubled."""
+    real = covers._power_and_sum
+
+    def doubled(M, m):
+        out = list(real(M, m))
+        out[k] = out[k] * 2
+        return tuple(out)
+
+    monkeypatch.setattr(covers, "_power_and_sum", doubled)
+    return lambda: covers.cyclic_cover(covers.surface_ribbon(2), [1, 0, 0, 0], 2)
+
+
+def force_sigma_order_m(monkeypatch):
+    return _doubled_power_and_sum(monkeypatch, 0)
+
+
+def force_transfer_pushforward_sum_sigma(monkeypatch):
+    return _doubled_power_and_sum(monkeypatch, 1)
+
+
 def force_component_group_order(monkeypatch):
     cov = covers.standard_cover(2, 2)
     trivial = covers.FiniteQuotient(cov.base.lattice, cov.base.lattice)
@@ -254,7 +283,10 @@ FORCED = [
     ("face-saturated", force_face_saturated),
     ("h1-rank", force_h1_rank),
     ("h1-principal", force_h1_principal),
+    ("chain-cycle", force_chain_cycle),
     ("cover-genus", force_cover_genus),
+    ("sigma-order-m", force_sigma_order_m),
+    ("transfer-pushforward-sum-sigma", force_transfer_pushforward_sum_sigma),
     ("component-group-order", force_component_group_order),
     ("eta-order", force_eta_order),
     ("ker-transfer-cyclic", force_ker_transfer_cyclic),

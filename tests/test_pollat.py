@@ -148,6 +148,23 @@ def test_ker_mu_refuses_a_nonpositive_level(call, m):
         call(standard_principal(1), m)
 
 
+@pytest.mark.parametrize("m", [0, -2])
+def test_torsion_subgroup_refuses_a_nonpositive_level(m):
+    with pytest.raises(DomainError, match="^torsion level must be >= 1$"):
+        torsion_subgroup(standard_principal(1), m)
+
+
+def test_a_non_integral_adjoint_fails_integrality():
+    # E_src = 2J and E_dst = J, so f^t is half the identity: not integral on Z^2
+    P_src = PolarizedLattice(Lattice.standard(2), symplectic_form(1) * 2)
+    P_dst = standard_principal(1)
+    f = LatticeMap(Mat.identity(2), P_src.lattice, P_dst.lattice)
+    with pytest.raises(CertificationError) as info:
+        adjoint_map(f, P_src, P_dst)
+    assert info.value.failures == ("adjoint-integrality",)
+    assert str(info.value) == "adjoint is not integral on the dual side (inconsistent inputs)"
+
+
 def test_mu_composes_to_multiplication():
     P = type_1m_rank4(2)
     Pd, mu = dual_polarization(P, 2)
