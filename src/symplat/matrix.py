@@ -7,17 +7,21 @@ deterministic pivot rules so that every census and fixture is reproducible
 bit for bit.  The Smith reduction works in one augmented array
 [[M, I], [I, 0]], so each elementary operation also builds U or V.
 
-Rational work runs on Python ints: a product scales each factor by the lcm of
-its denominators and divides once at the end, and ``rref``, ``rank``, ``det``,
-``inverse`` and ``solve`` all read their results off one fraction-free
-(Bareiss) Gauss–Jordan elimination, whose every division is exact.  The
-results are unique, so they do not depend on the pivot order.  Integer
-kernels come from one column reduction, ``integer_kernel``.
+Rational work runs on Python ints.  A product scales each factor by the lcm
+of its denominators, builds each row of A*B as the combination of B's rows
+that the nonzero entries of A's row select, and divides once at the end; a
+zero entry costs nothing, so the near-permutation deck actions of the covers
+stay cheap.  ``rref``, ``rank``, ``det``, ``inverse`` and ``solve`` all read
+their results off one fraction-free (Bareiss) Gauss–Jordan elimination, whose
+every division is exact.  The results are unique, so they do not depend on
+the pivot order.  Integer kernels come from one column reduction,
+``integer_kernel``.
 """
 
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from .errors import DomainError, _Immutable, certify
 
@@ -57,19 +61,41 @@ def _q(x, d):
     return x // d if x % d == 0 else Fraction(x, d)
 
 
-def _product(rows, cols):
-    """Normalized rows of A*B, A given by ``rows`` and B by ``cols``.
+_MAX_CHAIN = 512  # lazy row additions one product nests before it materializes them
 
-    Sums (A*da)(B*db) in ints, for the denominator lcms da and db, then
-    divides once by da*db.
+
+def _product(rows, brows, ncols):
+    """Normalized rows of A*B, A given by ``rows`` and B by ``brows``, ``ncols`` wide.
+
+    Each row of A*B is the combination of B's rows that the nonzero entries
+    of A's row select, so a zero entry costs nothing; a row with none is
+    zero.  The combination is a chain of lazy ``map``s that one ``tuple``
+    runs.  Each link nests that ``tuple``'s C calls one level deeper, and a
+    chain some 10^5 links long overflows the C stack, so the chain is
+    materialized every ``_MAX_CHAIN`` links.  The work runs on the ints
+    (A*da)(B*db), for the denominator lcms da and db, with one division by
+    da*db at the end.
     """
-    da, db = _den(rows), _den(cols)
+    da, db = _den(rows), _den(brows)
     rows = rows if da == 1 else [_times(row, da) for row in rows]
-    cols = cols if db == 1 else [_times(col, db) for col in cols]
-    prod = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+    brows = brows if db == 1 else [_times(row, db) for row in brows]
+    zero = (0,) * ncols
+    prod = []
+    for row in rows:
+        acc, depth = None, 0
+        for a, b in zip(row, brows):
+            if a:
+                t = b if a == 1 else map(mul, repeat(a), b)
+                if acc is None:
+                    acc = t
+                elif depth < _MAX_CHAIN:
+                    acc, depth = map(add, acc, t), depth + 1
+                else:
+                    acc, depth = map(add, tuple(acc), t), 1
+        prod.append(zero if acc is None else tuple(acc))
     d = da * db
     if d == 1:
-        return tuple(map(tuple, prod))
+        return tuple(prod)
     return tuple(tuple(_q(x, d) for x in row) for row in prod)
 
 
@@ -243,7 +269,7 @@ class Mat(_Immutable):
             return self.scaled(other)
         if self.ncols != other.nrows:
             raise DomainError("shape mismatch in multiplication")
-        return Mat._trusted(_product(self.rows, other.T.rows), other.ncols)
+        return Mat._trusted(_product(self.rows, other.rows, other.ncols), other.ncols)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -265,7 +291,7 @@ class Mat(_Immutable):
         vec = tuple(map(_norm, vec))
         if len(vec) != self.ncols:
             raise DomainError("vector length mismatch")
-        return tuple(x for (x,) in _product(self.rows, (vec,)))
+        return tuple(x for (x,) in _product(self.rows, [(x,) for x in vec], 1))
 
     # -- exact elimination over Q ------------------------------------------
 

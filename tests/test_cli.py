@@ -1,5 +1,6 @@
 """CLI: determinism, payload shape, and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -391,6 +392,40 @@ def test_cover_degree_is_bounded():
     start = time.monotonic()
     code, text = run(["cover", "--g", "1", "--m", "10000"])
     assert code == EXIT_BUDGET, text
+    assert time.monotonic() - start < 1
+
+
+# sha256 of the stdout of large covers, unchanged since products became row combinations
+LARGE_COVER_DIGESTS = {
+    ("2", "32"): "276b7745770bb3a6c8386f4e2dea52a98cd994622412cd96a58ddbe0e551cf90",
+    ("4", "16"): "82f044d9febf25d5ed07a9e7498dfc488b0d51f61f2087c2f01ca2ac854ee424",
+    ("2", "64"): "263934956d4ee729c024ab21c76502db09fed5319f3e8b4702e82d7e96cd08cd",
+}
+
+
+@pytest.mark.parametrize("g, m", [("4", "16"), ("2", "64")])
+def test_large_cover_stdout_is_pinned(monkeypatch, g, m):
+    # (2, 64) has 4 * 64 = 256 edges, past MAX_COVER_EDGES, so the guard is lifted to reach it
+    monkeypatch.setattr(covers, "MAX_COVER_EDGES", 256)
+    code, text = run(["cover", "--g", g, "--m", m])
+    assert code == EXIT_OK, text
+    assert hashlib.sha256(text.encode()).hexdigest() == LARGE_COVER_DIGESTS[g, m]
+
+
+def test_cover_edge_guard_admits_its_bound():
+    # (2, 32) has 4 * 32 = 128 edges, exactly MAX_COVER_EDGES
+    code, text = run(["cover", "--g", "2", "--m", "32"])
+    assert code == EXIT_OK, text
+    assert hashlib.sha256(text.encode()).hexdigest() == LARGE_COVER_DIGESTS["2", "32"]
+
+
+@pytest.mark.parametrize("g, m", [("2", "33"), ("1", "65")])
+def test_cover_edge_guard_just_past_the_bound(g, m):
+    # 4 * 33 = 132 and 2 * 65 = 130 edges, one step past MAX_COVER_EDGES = 128
+    start = time.monotonic()
+    code, text = run(["cover", "--g", g, "--m", m])
+    assert code == EXIT_BUDGET, text
+    assert text == f"budget error: a degree-{m} cover has more than 128 edges\n"
     assert time.monotonic() - start < 1
 
 

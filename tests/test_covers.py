@@ -490,6 +490,13 @@ def test_voltage_validation():
         cyclic_cover(surface_ribbon(2), VoltageAssignment(2, [1, 0, 0, 0]), 2.0)
 
 
+@pytest.mark.parametrize("m", [2.0, "2", 0, True])
+def test_a_bad_cover_degree_is_refused_before_the_voltages(m):
+    # a voltage list is wrapped with modulus m, so the degree is checked first
+    with pytest.raises(DomainError, match="^cover degree must be an int >= 1$"):
+        cyclic_cover(surface_ribbon(2), [1, 0, 0, 0], m)
+
+
 def test_nonstandard_voltage_cover():
     # voltages (1, 1) on the torus still give a connected double cover
     R = surface_ribbon(1)

@@ -1,7 +1,11 @@
 """Exact matrix kernel: Smith and Hermite forms, kernels, solving."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -287,11 +291,8 @@ def test_solve_against_oracles(data):
     assert A * X == B
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_products_against_oracles(data):
-    A = data.draw(rational_matrices())
-    B = data.draw(rational_matrices(nrows=A.ncols))
+def assert_product_matches_oracles(A, B):
+    """A*B and A.apply against Fraction sums and sympy, with normalized entries."""
     P = A * B
     assert_normalized(P)
     expected = tuple(
@@ -300,14 +301,124 @@ def test_products_against_oracles(data):
     )
     assert (P.nrows, P.ncols) == (A.nrows, B.ncols)
     assert P.rows == expected == from_sympy(to_sympy(A) * to_sympy(B))
+    for j in range(B.ncols):
+        image = A.apply(B.col(j))
+        assert image == P.col(j)
+        assert all(type(x) is int or x.denominator != 1 for x in image)
+    return P
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_products_against_oracles(data):
+    A = data.draw(rational_matrices())
+    assert_product_matches_oracles(A, data.draw(rational_matrices(nrows=A.ncols)))
     c = data.draw(_entries)
     assert_normalized(A * c)
     assert (A * c).rows == tuple(tuple(Fraction(x) * c for x in row) for row in A.rows)
-    if B.ncols:
-        vec = B.col(0)
-        assert A.apply(vec) == P.col(0)
-        assert all(type(x) is int or x.denominator != 1 for x in A.apply(vec))
 
+
+# -- products as row combinations: signed permutations, sparse and empty shapes
+
+_units = st.sampled_from((1, -1))
+
+
+@st.composite
+def sparse_matrices(draw, nrows, ncols):
+    """Signed permutations (when square) or mostly-zero matrices, with some zero rows.
+
+    Nonzero entries are +-1 or other values; half the draws allow Fractions,
+    whose denominators come in either sign, so Fractions fall on either side
+    of a product, on both, or on neither.
+    """
+    entries = st.one_of(_units, st.integers(-6, 6))
+    if draw(st.booleans()):
+        entries = st.one_of(entries, _rationals)
+    rows = [[0] * ncols for _ in range(nrows)]
+    if nrows == ncols and draw(st.booleans()):
+        for i, j in enumerate(draw(st.permutations(range(ncols)))):
+            rows[i][j] = draw(_units)
+            if draw(st.integers(0, 7)) == 0:
+                rows[i][j] = draw(entries.filter(bool))
+    elif nrows and ncols:
+        for _ in range(draw(st.integers(0, 2 * max(nrows, ncols)))):
+            rows[draw(st.integers(0, nrows - 1))][draw(st.integers(0, ncols - 1))] = draw(entries)
+    if nrows:
+        for i in draw(st.sets(st.integers(0, nrows - 1), max_size=3)):
+            rows[i] = [0] * ncols
+    return Mat(rows, ncols=ncols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sparse_products_against_oracles(data):
+    n, k, l = (data.draw(st.integers(0, 16)) for _ in range(3))
+    A = data.draw(sparse_matrices(n, k))
+    B = data.draw(st.one_of(sparse_matrices(k, l), rational_matrices(nrows=k)))
+    assert_product_matches_oracles(A, B)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 16).flatmap(lambda n: sparse_matrices(n, n)))
+def test_signed_permutation_products(S):
+    assert_product_matches_oracles(S, S.T)
+    # one +-1 in every row and every column: a signed permutation is orthogonal
+    support = sorted(j for row in S.rows for j, x in enumerate(row) if x)
+    units = all(x in (0, 1, -1) for row in S.rows for x in row)
+    if support == list(range(S.nrows)) and all(map(any, S.rows)) and units:
+        assert S * S.T == Mat.identity(S.nrows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 16), st.integers(0, 16))
+def test_an_empty_inner_dimension_gives_the_zero_matrix(n, k):
+    P = assert_product_matches_oracles(Mat.zero(n, 0), Mat.zero(0, k))
+    assert P == Mat.zero(n, k)
+    assert all(type(x) is int for row in P.rows for x in row)
+    assert Mat.zero(n, 0).apply(()) == (0,) * n
+
+
+def test_products_with_fractions_on_either_side():
+    half, third = Fraction(1, -2), Fraction(-2, -3)  # -1/2 and 2/3
+    A = Mat([[half, 0, 1], [0, 0, 0], [0, -1, 2]])
+    B = Mat([[2, 0], [third, 0], [0, Fraction(3, -4)]])
+    P = assert_product_matches_oracles(A, B)
+    assert P.rows == ((-1, Fraction(-3, 4)), (0, 0), (Fraction(-2, 3), Fraction(-3, 2)))
+    assert type(P.rows[0][0]) is int
+    assert assert_product_matches_oracles(B.T, A.T) == P.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_products_materialized_every_few_links(data):
+    # a cap of 0 to 3 links materializes most row combinations part-way; results must not change
+    A = data.draw(st.one_of(rational_matrices(), sparse_matrices(8, 8)))
+    B = data.draw(rational_matrices(nrows=A.ncols))
+    saved = matrix._MAX_CHAIN
+    matrix._MAX_CHAIN = data.draw(st.integers(0, 3))
+    try:
+        assert_product_matches_oracles(A, B)
+    finally:
+        matrix._MAX_CHAIN = saved
+
+
+def test_a_row_with_many_nonzero_entries():
+    # 10^5 nonzero entries in one row overflowed the C stack as one chain of maps;
+    # run in a child so that a crash fails this test, not the whole session
+    script = (
+        "from fractions import Fraction\n"
+        "from symplat.matrix import Mat\n"
+        "n = 10**5\n"
+        "A = Mat([[2] * n])\n"
+        "assert (A * Mat([[3]] * n)).rows == ((6 * n,),)\n"
+        "assert A.apply([Fraction(1, 2)] * n) == (n,)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- the one-array Smith workspace against the three-array reduction --------
