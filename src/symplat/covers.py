@@ -64,10 +64,11 @@ class RibbonGraph(_Immutable):
 
     ``rotations`` is one tuple of darts per vertex, in counterclockwise order;
     together they partition all darts.  Faces are the orbits of the
-    next-along-boundary permutation d -> rotation-successor(partner(d)).
+    next-along-boundary permutation d -> rotation-successor(partner(d)),
+    walked once, when the graph is built.
     """
 
-    __slots__ = ("n_edges", "rotations", "vertex_of", "successor")
+    __slots__ = ("n_edges", "rotations", "vertex_of", "successor", "_faces")
 
     def __init__(self, n_edges, rotations):
         rotations = tuple(tuple(r) for r in rotations)
@@ -81,7 +82,7 @@ class RibbonGraph(_Immutable):
             for i, d in enumerate(rot):
                 vertex_of[d] = v
                 successor[d] = rot[(i + 1) % len(rot)]
-        self._fill(n_edges, rotations, vertex_of, successor)
+        self._fill(n_edges, rotations, vertex_of, successor, _face_orbits(n_edges, successor))
 
     @property
     def n_vertices(self):
@@ -93,24 +94,12 @@ class RibbonGraph(_Immutable):
 
     def faces(self):
         """Face boundaries as dart orbits of d -> successor(partner(d))."""
-        seen = set()
-        out = []
-        for start in range(2 * self.n_edges):
-            if start in seen:
-                continue
-            orbit = []
-            d = start
-            while d not in seen:
-                seen.add(d)
-                orbit.append(d)
-                d = self.successor[self.partner(d)]
-            out.append(tuple(orbit))
-        return out
+        return self._faces
 
     def face_vectors(self):
         """Each face boundary as an edge-space vector (+tail dart, -head dart)."""
         vecs = []
-        for orbit in self.faces():
+        for orbit in self._faces:
             v = [0] * self.n_edges
             for d in orbit:
                 v[d // 2] += 1 if d % 2 == 0 else -1
@@ -118,13 +107,30 @@ class RibbonGraph(_Immutable):
         return vecs
 
     def euler_characteristic(self):
-        return self.n_vertices - self.n_edges + len(self.faces())
+        return self.n_vertices - self.n_edges + len(self._faces)
 
     def genus(self):
         chi = self.euler_characteristic()
         if chi % 2 != 0 or chi > 2:
             raise DomainError("rotation system does not define a closed surface")
         return (2 - chi) // 2
+
+
+def _face_orbits(n_edges, successor):
+    """The orbits of d -> successor[partner(d)] on the darts 0..2E-1, each from its least dart."""
+    seen = set()
+    out = []
+    for start in range(2 * n_edges):
+        if start in seen:
+            continue
+        orbit = []
+        d = start
+        while d not in seen:
+            seen.add(d)
+            orbit.append(d)
+            d = successor[d ^ 1]
+        out.append(tuple(orbit))
+    return tuple(out)
 
 
 class VoltageAssignment(_Immutable):

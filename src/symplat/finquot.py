@@ -62,8 +62,8 @@ class FiniteQuotient(_Immutable):
                     T[i][j], rem = divmod(x, row[i])
                     if rem:
                         raise DomainError("lower lattice is not contained in the upper one")
-            upper = Lattice._from_slots(n, Mat._trusted(H, n).scaled(c), None)
-            coords = Mat._trusted(tuple(map(tuple, T)), n)
+            upper = Lattice._from_slots(n, Mat._trusted(H, n, 1).scaled(c), None)
+            coords = Mat._trusted(tuple(map(tuple, T)), n, 1)
             out.append(cls._from_slots(lower, upper, coords, None, None))
         return out
 

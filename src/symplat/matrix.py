@@ -7,15 +7,20 @@ deterministic pivot rules so that every census and fixture is reproducible
 bit for bit.  The Smith reduction works in one augmented array
 [[M, I], [I, 0]], so each elementary operation also builds U or V.
 
-Rational work runs on Python ints.  A product scales each factor by the lcm
-of its denominators, builds each row of A*B as the combination of B's rows
-that the nonzero entries of A's row select, and divides once at the end; a
-zero entry costs nothing, so the near-permutation deck actions of the covers
-stay cheap.  ``rref``, ``rank``, ``det``, ``inverse`` and ``solve`` all read
-their results off one fraction-free (Bareiss) Gauss–Jordan elimination, whose
-every division is exact.  The results are unique, so they do not depend on
-the pivot order.  Integer kernels come from one column reduction,
-``integer_kernel``.
+Rational work runs on Python ints.  Each matrix keeps the lcm of its
+entries' denominators once it is known: a constructor that knows it (an
+identity, a product or sum of integral matrices, a transpose, a Hermite or
+kernel basis) passes it on, and ``denominator_lcm`` scans the entries at most
+once.  So an integral matrix, which is what almost every matrix here is, is
+never scanned, scaled or re-normalized again.  A product scales each factor
+that is not integral by the lcm of its denominators, builds each row of A*B
+as the combination of B's rows that the nonzero entries of A's row select,
+and divides once at the end; a zero entry costs nothing, so the
+near-permutation deck actions of the covers stay cheap.  ``rref``, ``rank``,
+``det``, ``inverse`` and ``solve`` all read their results off one
+fraction-free (Bareiss) Gauss–Jordan elimination, whose every division is
+exact.  The results are unique, so they do not depend on the pivot order.
+Integer kernels come from one column reduction, ``integer_kernel``.
 """
 
 from fractions import Fraction
@@ -64,7 +69,7 @@ def _q(x, d):
 _MAX_CHAIN = 512  # lazy row additions one product nests before it materializes them
 
 
-def _product(rows, brows, ncols):
+def _product(rows, brows, ncols, da, db):
     """Normalized rows of A*B, A given by ``rows`` and B by ``brows``, ``ncols`` wide.
 
     Each row of A*B is the combination of B's rows that the nonzero entries
@@ -76,7 +81,6 @@ def _product(rows, brows, ncols):
     (A*da)(B*db), for the denominator lcms da and db, with one division by
     da*db at the end.
     """
-    da, db = _den(rows), _den(brows)
     rows = rows if da == 1 else [_times(row, da) for row in rows]
     brows = brows if db == 1 else [_times(row, db) for row in brows]
     zero = (0,) * ncols
@@ -99,18 +103,22 @@ def _product(rows, brows, ncols):
     return tuple(tuple(_q(x, d) for x in row) for row in prod)
 
 
-def _gauss_jordan(rows, ncols):
+def _gauss_jordan(rows, ncols, integral):
     """Fraction-free Gauss–Jordan elimination on the first ``ncols`` columns.
 
     Returns (a, den, pivots): integer rows ``a`` with the reduced row echelon
     form of ``rows`` equal to ``a / den`` (rows past ``len(pivots)`` are zero
-    in the first ``ncols`` columns), and the pivot columns.  Each row is first
-    scaled by the lcm of its denominators, which changes neither the RREF nor
-    the solutions.  A swap also negates a row, so with full rank ``den`` is
-    the determinant of the scaled square block.  After k pivots every entry is
+    in the first ``ncols`` columns), and the pivot columns.  Unless the rows
+    are ``integral``, each row is first scaled by the lcm of its denominators,
+    which changes neither the RREF nor the solutions.  A swap also negates a
+    row, so with full rank ``den`` is the determinant of the scaled square
+    block.  After k pivots every entry is
     a k x k minor of the scaled rows (Bareiss 1968), so each ``//`` is exact.
     """
-    a = [list(row) if (d := _den((row,))) == 1 else _times(row, d) for row in rows]
+    if integral:
+        a = [list(row) for row in rows]
+    else:
+        a = [list(row) if (d := _den((row,))) == 1 else _times(row, d) for row in rows]
     m, pivots, prev = len(a), [], 1
     for c in range(ncols):
         r = len(pivots)
@@ -138,7 +146,7 @@ class Mat(_Immutable):
     transpose, exact inverse/solve over Q, stacking and column slicing.
     """
 
-    __slots__ = ("rows", "nrows", "ncols", "_hash")
+    __slots__ = ("rows", "nrows", "ncols", "_hash", "_den")
 
     def __init__(self, rows, ncols=None):
         rows = tuple(tuple(_norm(x) for x in row) for row in rows)
@@ -155,27 +163,33 @@ class Mat(_Immutable):
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_den", None)
 
     @classmethod
-    def _trusted(cls, rows, ncols):
-        """A Mat on tuple rows of normalized entries (see ``_norm``), unchecked."""
+    def _trusted(cls, rows, ncols, den=None):
+        """A Mat on tuple rows of normalized entries (see ``_norm``), unchecked.
+
+        ``den``, if given, is the lcm of the entries' denominators.
+        """
         # slot by slot, not ``_from_slots``: every product builds one
         self = object.__new__(cls)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_den", den)
         return self
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def identity(n):
-        return Mat(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        return Mat._trusted(rows, n, 1)
 
     @staticmethod
     def zero(nrows, ncols):
-        return Mat(tuple((0,) * ncols for _ in range(nrows)), ncols=ncols)
+        return Mat._trusted(((0,) * ncols,) * nrows, ncols, 1)
 
     @staticmethod
     def diagonal(entries):
@@ -211,10 +225,10 @@ class Mat(_Immutable):
 
     @property
     def T(self):
-        return Mat._trusted(tuple(zip(*self.rows)) or ((),) * self.ncols, self.nrows)
+        return Mat._trusted(tuple(zip(*self.rows)) or ((),) * self.ncols, self.nrows, self._den)
 
     def is_integral(self):
-        return all(isinstance(x, int) for row in self.rows for x in row)
+        return self.denominator_lcm() == 1
 
     def is_zero(self):
         return all(x == 0 for row in self.rows for x in row)
@@ -228,7 +242,9 @@ class Mat(_Immutable):
         )
 
     def denominator_lcm(self):
-        return _den(self.rows)
+        if self._den is None:
+            object.__setattr__(self, "_den", _den(self.rows))
+        return self._den
 
     # -- arithmetic --------------------------------------------------------
 
@@ -245,22 +261,26 @@ class Mat(_Immutable):
         return self._hash
 
     def __neg__(self):
-        return Mat._trusted(tuple(tuple(-x for x in row) for row in self.rows), self.ncols)
+        rows = tuple(tuple(-x for x in row) for row in self.rows)
+        return Mat._trusted(rows, self.ncols, self._den)
 
     def __add__(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise DomainError("shape mismatch in addition")
-        return Mat(
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)),
-            ncols=self.ncols,
-        )
+        rows = tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(self.rows, other.rows))
+        if self.is_integral() and other.is_integral():
+            return Mat._trusted(rows, self.ncols, 1)
+        return Mat(rows, ncols=self.ncols)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scaled(self, c):
         n, d = Fraction(_norm(c)).as_integer_ratio()
-        da = _den(self.rows)
+        da = self.denominator_lcm()
+        if d == da == 1:
+            rows = tuple(tuple(n * x for x in row) for row in self.rows)
+            return Mat._trusted(rows, self.ncols, 1)
         rows = (tuple(_q(n * x, d * da) for x in _times(row, da)) for row in self.rows)
         return Mat._trusted(tuple(rows), self.ncols)
 
@@ -269,7 +289,9 @@ class Mat(_Immutable):
             return self.scaled(other)
         if self.ncols != other.nrows:
             raise DomainError("shape mismatch in multiplication")
-        return Mat._trusted(_product(self.rows, other.rows, other.ncols), other.ncols)
+        da, db = self.denominator_lcm(), other.denominator_lcm()
+        rows = _product(self.rows, other.rows, other.ncols, da, db)
+        return Mat._trusted(rows, other.ncols, 1 if da == db == 1 else None)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -284,14 +306,17 @@ class Mat(_Immutable):
         )
 
     def take_columns(self, indices):
-        return Mat.from_columns([self.col(j) for j in indices], nrows=self.nrows)
+        indices = tuple(indices)
+        rows = tuple(tuple(row[j] for j in indices) for row in self.rows)
+        return Mat._trusted(rows, len(indices), 1 if self.is_integral() else None)
 
     def apply(self, vec):
         """Apply to a column vector given as a tuple."""
         vec = tuple(map(_norm, vec))
         if len(vec) != self.ncols:
             raise DomainError("vector length mismatch")
-        return tuple(x for (x,) in _product(self.rows, [(x,) for x in vec], 1))
+        col = [(x,) for x in vec]
+        return tuple(x for (x,) in _product(self.rows, col, 1, self.denominator_lcm(), _den(col)))
 
     # -- exact elimination over Q ------------------------------------------
 
@@ -300,18 +325,19 @@ class Mat(_Immutable):
 
         Returns (R, pivots) with pivots the list of pivot column indices.
         """
-        a, den, pivots = _gauss_jordan(self.rows, self.ncols)
+        a, den, pivots = _gauss_jordan(self.rows, self.ncols, self.is_integral())
         return Mat._trusted(tuple(tuple(_q(x, den) for x in row) for row in a), self.ncols), pivots
 
     def rank(self):
-        return len(_gauss_jordan(self.rows, self.ncols)[2])
+        return len(_gauss_jordan(self.rows, self.ncols, self.is_integral())[2])
 
     def det(self):
         if not self.is_square():
             raise DomainError("determinant of a non-square matrix")
         # det(M) = det(d*M) / d^n, and d*M is integral, so no row is rescaled
-        d, n = _den(self.rows), self.nrows
-        _, den, pivots = _gauss_jordan([_times(row, d) for row in self.rows], n)
+        d, n = self.denominator_lcm(), self.nrows
+        rows = self.rows if d == 1 else [_times(row, d) for row in self.rows]
+        _, den, pivots = _gauss_jordan(rows, n, True)
         return _q(den, d**n) if len(pivots) == n else 0
 
     def inverse(self):
@@ -319,7 +345,8 @@ class Mat(_Immutable):
             raise DomainError("inverse of a non-square matrix")
         n = self.nrows
         unit = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
-        a, den, pivots = _gauss_jordan([r + e for r, e in zip(self.rows, unit)], n)
+        rows = [r + e for r, e in zip(self.rows, unit)]
+        a, den, pivots = _gauss_jordan(rows, n, self.is_integral())
         if len(pivots) < n:
             raise DomainError("matrix is singular")
         return Mat._trusted(tuple(tuple(_q(x, den) for x in row[n:]) for row in a), n)
@@ -332,7 +359,8 @@ class Mat(_Immutable):
         if self.nrows != rhs.nrows:
             raise DomainError("shape mismatch in solve")
         n, k = self.ncols, rhs.ncols
-        a, den, pivots = _gauss_jordan([r1 + r2 for r1, r2 in zip(self.rows, rhs.rows)], n)
+        rows = [r1 + r2 for r1, r2 in zip(self.rows, rhs.rows)]
+        a, den, pivots = _gauss_jordan(rows, n, self.is_integral() and rhs.is_integral())
         if any(any(row[n:]) for row in a[len(pivots):]):
             raise DomainError("inconsistent linear system")
         sol = [(0,) * k] * n
@@ -477,9 +505,9 @@ def smith_normal_form(M):
             st.col_block(i, i + 1, ((1, -(y * b) // g), (1, (x * a) // g)))
             changed = True
 
-    U = Mat._trusted(tuple(tuple(row[n:]) for row in w[:m]), m)
-    D = Mat._trusted(tuple(tuple(row[:n]) for row in w[:m]), n)
-    V = Mat._trusted(tuple(tuple(row[:n]) for row in w[m:]), n)
+    U = Mat._trusted(tuple(tuple(row[n:]) for row in w[:m]), m, 1)
+    D = Mat._trusted(tuple(tuple(row[:n]) for row in w[:m]), n, 1)
+    V = Mat._trusted(tuple(tuple(row[:n]) for row in w[m:]), n, 1)
     # The transforms certify themselves; this is the kernel everything rests on.
     certify("Smith normal form transforms", {"U*M*V = D": U * M * V == D})
     return U, D, V
@@ -536,12 +564,12 @@ def hermite_basis(M):
     """``hermite_column_form(d*M) / d``, d the lcm of M's denominators: the
     canonical basis of the lattice spanned by M's rational columns."""
     d = M.denominator_lcm()
-    cols = [_times(c, d) for c in M.T.rows]
+    cols = [list(c) if d == 1 else _times(c, d) for c in M.T.rows]
     r = _column_echelon(cols, M.nrows, canonical=True)
     rows = tuple(zip(*cols[:r])) or ((),) * M.nrows
-    if d != 1:
-        rows = tuple(tuple(_q(x, d) for x in row) for row in rows)
-    return Mat._trusted(rows, r)
+    if d == 1:
+        return Mat._trusted(rows, r, 1)
+    return Mat._trusted(tuple(tuple(_q(x, d) for x in row) for row in rows), r)
 
 
 def integer_kernel(M):
@@ -554,4 +582,5 @@ def integer_kernel(M):
     m, n = M.nrows, M.ncols
     cols = [list(M.col(j)) + [1 if i == j else 0 for i in range(n)] for j in range(n)]
     r = _column_echelon(cols, m, canonical=False)
-    return hermite_column_form(Mat.from_columns([c[m:] for c in cols[r:]], nrows=n))
+    basis = tuple(zip(*(c[m:] for c in cols[r:]))) or ((),) * n
+    return hermite_column_form(Mat._trusted(basis, n - r, 1))

@@ -73,6 +73,24 @@ def test_surface_ribbon_invalid_genus():
         surface_ribbon(0)
 
 
+def test_face_orbits_are_walked_once_per_graph(monkeypatch):
+    walked = []
+
+    def counting(n_edges, successor):
+        walked.append(n_edges)
+        return face_orbits(n_edges, successor)
+
+    face_orbits = covers._face_orbits
+    monkeypatch.setattr(covers, "_face_orbits", counting)
+    cov = covers.standard_cover(2, 3)
+    # the base surface and the derived cover, however often each is asked
+    assert walked == [4, 12]
+    assert cov.base_graph.faces() is cov.base_graph.faces()
+    assert (cov.base_graph.genus(), cov.cover_graph.genus()) == (2, 4)
+    assert len(cov.cover_graph.face_vectors()) == len(cov.cover_graph.faces())
+    assert walked == [4, 12]
+
+
 def test_ribbon_validation():
     with pytest.raises(DomainError):
         RibbonGraph(2, [(0, 1, 2)])  # darts missing

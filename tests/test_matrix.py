@@ -1,10 +1,13 @@
 """Exact matrix kernel: Smith and Hermite forms, kernels, solving."""
 
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from operator import add, sub
 from pathlib import Path
 
 import pytest
@@ -16,13 +19,20 @@ from symplat import matrix
 from symplat.errors import CertificationError, DomainError
 from symplat.matrix import (
     Mat,
+    hermite_basis,
     hermite_column_form,
     integer_kernel,
     smith_normal_form,
     xgcd,
 )
 
-from conftest import fraction_det, fraction_rref, minor_gcd_invariants, snf_oracle
+from conftest import (
+    canonical_basis_oracle,
+    fraction_det,
+    fraction_rref,
+    minor_gcd_invariants,
+    snf_oracle,
+)
 
 
 def random_int_matrix(rng, nrows, ncols, bound=6):
@@ -419,6 +429,108 @@ def test_a_row_with_many_nonzero_entries():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# -- the kept denominator lcm: set by the constructor that knows it, or on first use
+
+_TWINS = (lambda M: M, copy.copy, lambda M: pickle.loads(pickle.dumps(M)))
+
+
+def assert_kept(M):
+    """Entries normalized, and the kept denominator lcm, once set, is what a scan gives."""
+    assert_normalized(M)
+    scan = matrix._den(M.rows)
+    if M._den is not None:
+        assert M._den == scan, M
+    assert M.denominator_lcm() == M._den == scan
+    assert M.is_integral() == (scan == 1)
+    for twin in (copy.copy(M), copy.deepcopy(M), pickle.loads(pickle.dumps(M))):
+        assert twin == M and twin._den == M._den
+    return M
+
+
+@st.composite
+def kept_matrices(draw, nrows=None, ncols=None):
+    """``rational_matrices``, half of them cleared of denominators.
+
+    Some keep their lcm already, and some are a copy or an unpickled twin, so
+    the kernel sees a kept lcm and a missing one, each on integral and on
+    rational entries.
+    """
+    M = draw(rational_matrices(nrows, ncols))
+    if draw(st.booleans()):
+        d = matrix._den(M.rows)
+        M = Mat([[x * d for x in row] for row in M.rows], ncols=M.ncols)
+    if draw(st.booleans()):
+        M.denominator_lcm()
+    return draw(st.sampled_from(_TWINS))(M)
+
+
+def fractions_of(M):
+    return tuple(tuple(map(Fraction, row)) for row in M.rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kept_denominators_of_arithmetic(data):
+    A = data.draw(kept_matrices())
+    B = data.draw(kept_matrices(nrows=A.ncols))
+    C = data.draw(kept_matrices(A.nrows, A.ncols))
+    c = data.draw(_entries)
+    fa, fc = fractions_of(A), fractions_of(C)
+    P = assert_kept(assert_product_matches_oracles(A, B))
+    assert assert_kept(A + C).rows == tuple(tuple(map(add, r, s)) for r, s in zip(fa, fc))
+    assert assert_kept(A - C).rows == tuple(tuple(map(sub, r, s)) for r, s in zip(fa, fc))
+    assert assert_kept(-A).rows == tuple(tuple(-x for x in r) for r in fa)
+    assert assert_kept(A.T).rows == (tuple(zip(*fa)) or ((),) * A.ncols)
+    assert assert_kept(A.hstack(C)).rows == tuple(r + s for r, s in zip(fa, fc))
+    cols = data.draw(st.lists(st.integers(0, A.ncols - 1), max_size=6)) if A.ncols else []
+    assert assert_kept(A.take_columns(cols)).rows == tuple(tuple(r[j] for j in cols) for r in fa)
+    assert assert_kept(A.scaled(c)).rows == assert_kept(c * A).rows == tuple(
+        tuple(x * c for x in r) for r in fa
+    )
+    # results whose lcm is kept feed further products
+    Q = assert_kept(P.T * A)
+    assert Q.rows == from_sympy((to_sympy(A) * to_sympy(B)).T * to_sympy(A))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.lists(_entries, max_size=6))
+def test_kept_denominators_of_constructors(n, k, entries):
+    assert assert_kept(Mat.identity(n)).rows == from_sympy(sympy.eye(n))
+    assert assert_kept(Mat.zero(n, k)).rows == ((0,) * k,) * n
+    assert (Mat.zero(n, k).nrows, Mat.zero(n, k).ncols) == (n, k)
+    D = assert_kept(Mat.diagonal(entries))
+    assert D.rows == (from_sympy(sympy.diag(*map(sympy.Rational, entries))) if entries else ())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kept_denominators_of_elimination(data):
+    n = data.draw(st.integers(0, 5))
+    M = data.draw(kept_matrices(n, n))
+    B = data.draw(kept_matrices(nrows=n))
+    R, pivots = M.rref()
+    assert (assert_kept(R).rows, pivots) == fraction_rref(M)
+    assert M.det() == fraction_det(M)
+    expected = oracle_solve(M, B)
+    if expected is not None:
+        assert assert_kept(M.solve(B)).rows == expected
+    if M.det():
+        assert assert_kept(M.inverse()).rows == from_sympy(to_sympy(M).inv())
+
+
+@settings(max_examples=150, deadline=None)
+@given(kept_matrices())
+def test_kept_denominators_of_hermite_and_kernel_bases(A):
+    H = assert_kept(hermite_basis(A))
+    assert H == canonical_basis_oracle(A)
+    assert H.ncols == to_sympy(A).rank()
+    d = A.denominator_lcm()
+    Z = Mat([[x * d for x in row] for row in A.rows], ncols=A.ncols)
+    K = assert_kept(integer_kernel(Z))
+    assert (Z * K).is_zero() and K.ncols == Z.ncols - to_sympy(Z).rank()
+    assert K == hermite_column_form(K)
 
 
 # -- the one-array Smith workspace against the three-array reduction --------
