@@ -97,6 +97,8 @@ def build_parser():
 def cmd_quotient(g, m, mode="all", budget=DEFAULT_BUDGET):
     if g < 1 or m < 1:
         raise DomainError("quotient census needs g >= 1 and m >= 1")
+    if budget < 1:
+        raise DomainError("budget must be >= 1")
     # refuse before the O(g^3) set-up; a bounded g keeps m**(2g) cheap
     if g > MAX_CENSUS_GENUS:
         raise BudgetError(f"a census of genus above {MAX_CENSUS_GENUS} is not supported")

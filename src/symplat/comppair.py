@@ -129,12 +129,15 @@ def _pair_orders(pair):
 
 @_kept
 def orthogonal_projection(pair):
-    """The E-orthogonal projection of the ambient span onto span(B) along span(A)."""
-    A, B = pair.sub_A.basis, pair.sub_B.basis
-    n = pair.ambient.ambient_dim
-    block = A.hstack(B)
-    zero_then_B = Mat.zero(n, A.ncols).hstack(B)
-    return zero_then_B * block.inverse()
+    """The E-orthogonal projection of the ambient span onto span(B) along span(A).
+
+    pr_B = B G_B^-1 B^T E, with G_B = B^T E B the Gram of B, which ``complement``
+    has checked to be nondegenerate: it fixes B, and it kills A, which is
+    {x : B^T E x = 0}.
+    """
+    B = pair.sub_B.basis
+    gram = pair.restricted(pair.sub_B).gram()
+    return B * gram.inverse() * (B.T * pair.ambient.form)
 
 
 @_kept

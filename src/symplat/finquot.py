@@ -234,7 +234,7 @@ def is_isotropic(S, p):
     """True iff the pairing vanishes on S x S (checked on lattice generators)."""
     B = S.upper.basis
     vals = B.T * p.form * B
-    return all(Fraction(x).denominator == 1 for row in vals.rows for x in row)
+    return vals.is_integral()
 
 
 def orthogonal_subgroup(S, p):
@@ -305,8 +305,7 @@ def _enumerate(Q, budget, p=None, limit=None):
         goal = full // isqrt(Q.order * p._radical_order)
         head = [prod(d[:j]) for j in range(k)]
         G = Wsub.T * p.form * Wsub
-        den = G.denominator_lcm()
-        G = [[int(x * den) for x in row] for row in G.rows]
+        G, den = G.num, G.den  # the Gram over its denominator, as ints
         GH = [None] * k  # GH[i] = G times column i of H
     H = [[0] * k for _ in range(k)]
     out = []

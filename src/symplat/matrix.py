@@ -7,15 +7,14 @@ deterministic pivot rules so that every census and fixture is reproducible
 bit for bit.  The Smith reduction works in one augmented array
 [[M, I], [I, 0]], so each elementary operation also builds U or V.
 
-Rational work runs on Python ints.  Each matrix keeps the lcm of its
-entries' denominators once it is known: a constructor that knows it (an
-identity, a product or sum of integral matrices, a transpose, a Hermite or
-kernel basis) passes it on, and ``denominator_lcm`` scans the entries at most
-once.  So an integral matrix, which is what almost every matrix here is, is
-never scanned, scaled or re-normalized again.  A product scales each factor
-that is not integral by the lcm of its denominators, builds each row of A*B
-as the combination of B's rows that the nonzero entries of A's row select,
-and divides once at the end; a zero entry costs nothing, so the
+A matrix is one integer matrix ``num`` over one denominator ``den >= 1``, in
+lowest terms: ``gcd(den, *entries of num) == 1``, so ``den`` is the lcm of the
+entries' denominators and is 1 exactly when the matrix is integral (the
+matwise form of FLINT's ``fmpq_mat``).  Every kernel operation works on
+``num`` alone and ends with one gcd over the result's entries and its
+``den``; the entries as ints and Fractions, ``rows``, are built only when
+read.  A product builds each row of A*B as the combination of B's rows that
+the nonzero entries of A's row select, so a zero entry costs nothing and the
 near-permutation deck actions of the covers stay cheap.  ``rref``, ``rank``,
 ``det``, ``inverse`` and ``solve`` all read their results off one
 fraction-free (Bareiss) Gauss–Jordan elimination, whose every division is
@@ -24,8 +23,8 @@ Integer kernels come from one column reduction, ``integer_kernel``.
 """
 
 from fractions import Fraction
-from itertools import repeat
-from math import lcm
+from itertools import chain, repeat
+from math import gcd, lcm
 from operator import add, mul
 
 from .errors import DomainError, _Immutable, certify
@@ -51,14 +50,12 @@ def _norm(x):
     raise DomainError(f"matrix entries must be int or Fraction, got {type(x)!r}")
 
 
-def _den(rows):
-    """The lcm of the denominators of the entries of ``rows``."""
-    return lcm(*(x.denominator for row in rows for x in row if type(x) is not int))
-
-
-def _times(row, d):
-    """The entries of ``row`` times ``d``, a multiple of their denominators, as ints."""
-    return [x * d if type(x) is int else x.numerator * (d // x.denominator) for x in row]
+def _split(rows):
+    """(num, den): rows of normalized entries as integer rows over their denominator lcm."""
+    den = lcm(*(x.denominator for row in rows for x in row if type(x) is not int))
+    return rows if den == 1 else tuple(tuple(
+        x * den if type(x) is int else x.numerator * (den // x.denominator) for x in row
+    ) for row in rows), den
 
 
 def _q(x, d):
@@ -66,23 +63,39 @@ def _q(x, d):
     return x // d if x % d == 0 else Fraction(x, d)
 
 
+def _scale(num, f):
+    """The integer rows ``num`` times the int ``f``."""
+    return num if f == 1 else tuple(tuple(f * x for x in row) for row in num)
+
+
+def _primitive(rows):
+    """Each integer row divided by the gcd of its entries; a zero row stays."""
+    return [[x // g for x in row] if (g := gcd(*row)) > 1 else row for row in rows]
+
+
+def _lowest(num, ncols, den):
+    """The Mat num / den, for tuple rows ``num`` of ints and den != 0, in lowest terms."""
+    if den == 1:
+        return Mat._trusted(num, ncols)
+    g = gcd(den, *chain.from_iterable(num)) * (1 if den > 0 else -1)
+    if g != 1:
+        num = tuple(tuple(x // g for x in row) for row in num)
+    return Mat._trusted(num, ncols, den // g)
+
+
 _MAX_CHAIN = 512  # lazy row additions one product nests before it materializes them
 
 
-def _product(rows, brows, ncols, da, db):
-    """Normalized rows of A*B, A given by ``rows`` and B by ``brows``, ``ncols`` wide.
+def _product(rows, brows, ncols):
+    """The integer rows of A*B, A and B given by integer rows, B ``ncols`` wide.
 
     Each row of A*B is the combination of B's rows that the nonzero entries
     of A's row select, so a zero entry costs nothing; a row with none is
     zero.  The combination is a chain of lazy ``map``s that one ``tuple``
     runs.  Each link nests that ``tuple``'s C calls one level deeper, and a
     chain some 10^5 links long overflows the C stack, so the chain is
-    materialized every ``_MAX_CHAIN`` links.  The work runs on the ints
-    (A*da)(B*db), for the denominator lcms da and db, with one division by
-    da*db at the end.
+    materialized every ``_MAX_CHAIN`` links.
     """
-    rows = rows if da == 1 else [_times(row, da) for row in rows]
-    brows = brows if db == 1 else [_times(row, db) for row in brows]
     zero = (0,) * ncols
     prod = []
     for row in rows:
@@ -97,28 +110,20 @@ def _product(rows, brows, ncols, da, db):
                 else:
                     acc, depth = map(add, tuple(acc), t), 1
         prod.append(zero if acc is None else tuple(acc))
-    d = da * db
-    if d == 1:
-        return tuple(prod)
-    return tuple(tuple(_q(x, d) for x in row) for row in prod)
+    return tuple(prod)
 
 
-def _gauss_jordan(rows, ncols, integral):
-    """Fraction-free Gauss–Jordan elimination on the first ``ncols`` columns.
+def _gauss_jordan(rows, ncols):
+    """Fraction-free Gauss–Jordan elimination of integer rows on their first ``ncols`` columns.
 
     Returns (a, den, pivots): integer rows ``a`` with the reduced row echelon
     form of ``rows`` equal to ``a / den`` (rows past ``len(pivots)`` are zero
-    in the first ``ncols`` columns), and the pivot columns.  Unless the rows
-    are ``integral``, each row is first scaled by the lcm of its denominators,
-    which changes neither the RREF nor the solutions.  A swap also negates a
-    row, so with full rank ``den`` is the determinant of the scaled square
-    block.  After k pivots every entry is
-    a k x k minor of the scaled rows (Bareiss 1968), so each ``//`` is exact.
+    in the first ``ncols`` columns), and the pivot columns.  A swap also
+    negates a row, so with full rank ``den`` is the determinant of the
+    square block.  After k pivots every entry is a k x k minor of the rows
+    (Bareiss 1968), so each ``//`` is exact.
     """
-    if integral:
-        a = [list(row) for row in rows]
-    else:
-        a = [list(row) if (d := _den((row,))) == 1 else _times(row, d) for row in rows]
+    a = [list(row) for row in rows]
     m, pivots, prev = len(a), [], 1
     for c in range(ncols):
         r = len(pivots)
@@ -140,13 +145,13 @@ def _gauss_jordan(rows, ncols, integral):
 
 
 class Mat(_Immutable):
-    """An immutable matrix with exact rational entries.
+    """An immutable matrix with exact rational entries: ``num / den``.
 
     Supports the handful of operations the lattice layer needs: arithmetic,
     transpose, exact inverse/solve over Q, stacking and column slicing.
     """
 
-    __slots__ = ("rows", "nrows", "ncols", "_hash", "_den")
+    __slots__ = ("num", "den", "nrows", "ncols", "_rows", "_hash")
 
     def __init__(self, rows, ncols=None):
         rows = tuple(tuple(_norm(x) for x in row) for row in rows)
@@ -159,37 +164,30 @@ class Mat(_Immutable):
             ncols = width
         else:
             ncols = 0 if ncols is None else ncols
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_den", None)
+        self._fill(*_split(rows), len(rows), ncols, rows, None)
 
     @classmethod
-    def _trusted(cls, rows, ncols, den=None):
-        """A Mat on tuple rows of normalized entries (see ``_norm``), unchecked.
-
-        ``den``, if given, is the lcm of the entries' denominators.
-        """
+    def _trusted(cls, num, ncols, den=1):
+        """The Mat num / den on tuple rows of ints, in lowest terms, unchecked."""
         # slot by slot, not ``_from_slots``: every product builds one
         self = object.__new__(cls)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nrows", len(num))
         object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "_rows", None)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_den", den)
         return self
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def identity(n):
-        rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        return Mat._trusted(rows, n, 1)
+        return Mat._trusted(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
 
     @staticmethod
     def zero(nrows, ncols):
-        return Mat._trusted(((0,) * ncols,) * nrows, ncols, 1)
+        return Mat._trusted(((0,) * ncols,) * nrows, ncols)
 
     @staticmethod
     def diagonal(entries):
@@ -212,6 +210,16 @@ class Mat(_Immutable):
 
     # -- basic queries -----------------------------------------------------
 
+    @property
+    def rows(self):
+        """The entries as ints and non-integral Fractions, built on first read."""
+        if self.den == 1:
+            return self.num
+        if self._rows is None:
+            d = self.den
+            object.__setattr__(self, "_rows", tuple(tuple(_q(x, d) for x in r) for r in self.num))
+        return self._rows
+
     def col(self, j):
         return tuple(row[j] for row in self.rows)
 
@@ -225,26 +233,25 @@ class Mat(_Immutable):
 
     @property
     def T(self):
-        return Mat._trusted(tuple(zip(*self.rows)) or ((),) * self.ncols, self.nrows, self._den)
+        return Mat._trusted(tuple(zip(*self.num)) or ((),) * self.ncols, self.nrows, self.den)
 
     def is_integral(self):
-        return self.denominator_lcm() == 1
+        return self.den == 1
 
     def is_zero(self):
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(map(any, self.num))
 
     def is_square(self):
         return self.nrows == self.ncols
 
     def is_alternating(self):
+        a = self.num
         return self.is_square() and all(
-            self.rows[i][j] == -self.rows[j][i] for i in range(self.nrows) for j in range(i + 1)
+            a[i][j] == -a[j][i] for i in range(self.nrows) for j in range(i + 1)
         )
 
     def denominator_lcm(self):
-        if self._den is None:
-            object.__setattr__(self, "_den", _den(self.rows))
-        return self._den
+        return self.den
 
     # -- arithmetic --------------------------------------------------------
 
@@ -252,46 +259,40 @@ class Mat(_Immutable):
         return (
             isinstance(other, Mat)
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.rows, self.ncols)))
+            object.__setattr__(self, "_hash", hash((self.num, self.den, self.ncols)))
         return self._hash
 
     def __neg__(self):
-        rows = tuple(tuple(-x for x in row) for row in self.rows)
-        return Mat._trusted(rows, self.ncols, self._den)
+        return Mat._trusted(tuple(tuple(-x for x in row) for row in self.num), self.ncols, self.den)
 
     def __add__(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise DomainError("shape mismatch in addition")
-        rows = tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(self.rows, other.rows))
-        if self.is_integral() and other.is_integral():
-            return Mat._trusted(rows, self.ncols, 1)
-        return Mat(rows, ncols=self.ncols)
+        d = lcm(self.den, other.den)
+        a, b = _scale(self.num, d // self.den), _scale(other.num, d // other.den)
+        return _lowest(tuple(tuple(map(add, r, s)) for r, s in zip(a, b)), self.ncols, d)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scaled(self, c):
         n, d = Fraction(_norm(c)).as_integer_ratio()
-        da = self.denominator_lcm()
-        if d == da == 1:
-            rows = tuple(tuple(n * x for x in row) for row in self.rows)
-            return Mat._trusted(rows, self.ncols, 1)
-        rows = (tuple(_q(n * x, d * da) for x in _times(row, da)) for row in self.rows)
-        return Mat._trusted(tuple(rows), self.ncols)
+        num = self.num if n == 1 else tuple(tuple(n * x for x in row) for row in self.num)
+        return _lowest(num, self.ncols, self.den * d)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         if self.ncols != other.nrows:
             raise DomainError("shape mismatch in multiplication")
-        da, db = self.denominator_lcm(), other.denominator_lcm()
-        rows = _product(self.rows, other.rows, other.ncols, da, db)
-        return Mat._trusted(rows, other.ncols, 1 if da == db == 1 else None)
+        num = _product(self.num, other.num, other.ncols)
+        return _lowest(num, other.ncols, self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -301,55 +302,59 @@ class Mat(_Immutable):
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise DomainError("shape mismatch in hstack")
-        return Mat._trusted(
-            tuple(r1 + r2 for r1, r2 in zip(self.rows, other.rows)), self.ncols + other.ncols
-        )
+        # each side is in lowest terms over d, and so is the stack
+        d = lcm(self.den, other.den)
+        a, b = _scale(self.num, d // self.den), _scale(other.num, d // other.den)
+        return Mat._trusted(tuple(map(add, a, b)), self.ncols + other.ncols, d)
 
     def take_columns(self, indices):
         indices = tuple(indices)
-        rows = tuple(tuple(row[j] for j in indices) for row in self.rows)
-        return Mat._trusted(rows, len(indices), 1 if self.is_integral() else None)
+        num = tuple(tuple(row[j] for j in indices) for row in self.num)
+        return _lowest(num, len(indices), self.den)
 
     def apply(self, vec):
         """Apply to a column vector given as a tuple."""
         vec = tuple(map(_norm, vec))
         if len(vec) != self.ncols:
             raise DomainError("vector length mismatch")
-        col = [(x,) for x in vec]
-        return tuple(x for (x,) in _product(self.rows, col, 1, self.denominator_lcm(), _den(col)))
+        col, d = _split(tuple((x,) for x in vec))
+        d *= self.den
+        return tuple(_q(x, d) for (x,) in _product(self.num, col, 1))
 
     # -- exact elimination over Q ------------------------------------------
+
+    def _eliminated(self, ncols):
+        """``_gauss_jordan`` of num on its first ``ncols`` columns, each row first
+        divided by its content if den > 1: the RREF is the same."""
+        return _gauss_jordan(self.num if self.den == 1 else _primitive(self.num), ncols)
 
     def rref(self):
         """Reduced row echelon form over Q.
 
         Returns (R, pivots) with pivots the list of pivot column indices.
         """
-        a, den, pivots = _gauss_jordan(self.rows, self.ncols, self.is_integral())
-        return Mat._trusted(tuple(tuple(_q(x, den) for x in row) for row in a), self.ncols), pivots
+        a, den, pivots = self._eliminated(self.ncols)
+        return _lowest(tuple(map(tuple, a)), self.ncols, den), pivots
 
     def rank(self):
-        return len(_gauss_jordan(self.rows, self.ncols, self.is_integral())[2])
+        return len(self._eliminated(self.ncols)[2])
 
     def det(self):
         if not self.is_square():
             raise DomainError("determinant of a non-square matrix")
-        # det(M) = det(d*M) / d^n, and d*M is integral, so no row is rescaled
-        d, n = self.denominator_lcm(), self.nrows
-        rows = self.rows if d == 1 else [_times(row, d) for row in self.rows]
-        _, den, pivots = _gauss_jordan(rows, n, True)
-        return _q(den, d**n) if len(pivots) == n else 0
+        # det(num / d) = det(num) / d^n: no row is divided by its content
+        n = self.nrows
+        _, den, pivots = _gauss_jordan(self.num, n)
+        return _q(den, self.den**n) if len(pivots) == n else 0
 
     def inverse(self):
         if not self.is_square():
             raise DomainError("inverse of a non-square matrix")
         n = self.nrows
-        unit = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
-        rows = [r + e for r, e in zip(self.rows, unit)]
-        a, den, pivots = _gauss_jordan(rows, n, self.is_integral())
+        a, den, pivots = self.hstack(Mat.identity(n))._eliminated(n)
         if len(pivots) < n:
             raise DomainError("matrix is singular")
-        return Mat._trusted(tuple(tuple(_q(x, den) for x in row[n:]) for row in a), n)
+        return _lowest(tuple(tuple(row[n:]) for row in a), n, den)
 
     def solve(self, rhs):
         """Solve self * X = rhs exactly over Q; free variables are set to 0.
@@ -359,14 +364,13 @@ class Mat(_Immutable):
         if self.nrows != rhs.nrows:
             raise DomainError("shape mismatch in solve")
         n, k = self.ncols, rhs.ncols
-        rows = [r1 + r2 for r1, r2 in zip(self.rows, rhs.rows)]
-        a, den, pivots = _gauss_jordan(rows, n, self.is_integral() and rhs.is_integral())
+        a, den, pivots = self.hstack(rhs)._eliminated(n)
         if any(any(row[n:]) for row in a[len(pivots):]):
             raise DomainError("inconsistent linear system")
         sol = [(0,) * k] * n
         for row, c in zip(a, pivots):
-            sol[c] = tuple(_q(x, den) for x in row[n:])
-        return Mat._trusted(tuple(sol), k)
+            sol[c] = tuple(row[n:])
+        return _lowest(tuple(sol), k, den)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -401,7 +405,7 @@ class _SnfState:
 
     def __init__(self, M):
         m, n = self.m, self.n = M.nrows, M.ncols
-        self.w = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(M.rows)]
+        self.w = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(M.num)]
         self.w += [[int(i == j) for j in range(n)] + [0] * m for i in range(n)]
 
     def swap_rows(self, i, j):
@@ -505,9 +509,9 @@ def smith_normal_form(M):
             st.col_block(i, i + 1, ((1, -(y * b) // g), (1, (x * a) // g)))
             changed = True
 
-    U = Mat._trusted(tuple(tuple(row[n:]) for row in w[:m]), m, 1)
-    D = Mat._trusted(tuple(tuple(row[:n]) for row in w[:m]), n, 1)
-    V = Mat._trusted(tuple(tuple(row[:n]) for row in w[m:]), n, 1)
+    U = Mat._trusted(tuple(tuple(row[n:]) for row in w[:m]), m)
+    D = Mat._trusted(tuple(tuple(row[:n]) for row in w[:m]), n)
+    V = Mat._trusted(tuple(tuple(row[:n]) for row in w[m:]), n)
     # The transforms certify themselves; this is the kernel everything rests on.
     certify("Smith normal form transforms", {"U*M*V = D": U * M * V == D})
     return U, D, V
@@ -563,13 +567,9 @@ def hermite_column_form(M):
 def hermite_basis(M):
     """``hermite_column_form(d*M) / d``, d the lcm of M's denominators: the
     canonical basis of the lattice spanned by M's rational columns."""
-    d = M.denominator_lcm()
-    cols = [list(c) if d == 1 else _times(c, d) for c in M.T.rows]
+    cols = list(M.T.num)
     r = _column_echelon(cols, M.nrows, canonical=True)
-    rows = tuple(zip(*cols[:r])) or ((),) * M.nrows
-    if d == 1:
-        return Mat._trusted(rows, r, 1)
-    return Mat._trusted(tuple(tuple(_q(x, d) for x in row) for row in rows), r)
+    return _lowest(tuple(zip(*cols[:r])) or ((),) * M.nrows, r, M.den)
 
 
 def integer_kernel(M):
@@ -580,7 +580,7 @@ def integer_kernel(M):
     """
     _require_integral(M, "integer_kernel")
     m, n = M.nrows, M.ncols
-    cols = [list(M.col(j)) + [1 if i == j else 0 for i in range(n)] for j in range(n)]
+    cols = [list(c) + [int(i == j) for i in range(n)] for j, c in enumerate(M.T.num)]
     r = _column_echelon(cols, m, canonical=False)
     basis = tuple(zip(*(c[m:] for c in cols[r:]))) or ((),) * n
-    return hermite_column_form(Mat._trusted(basis, n - r, 1))
+    return hermite_column_form(Mat._trusted(basis, n - r))

@@ -587,6 +587,12 @@ def orthogonal_by_triple_product(S, p):
     return FiniteQuotient(Q.lower, Lattice(Q.lower.ambient_dim, Q.upper.basis * K))
 
 
+def projection_by_block_inverse(pair):
+    """pr_B as [0 | B] [A | B]^-1: the whole n x n block [A | B] inverted."""
+    A, B = pair.sub_A.basis, pair.sub_B.basis
+    return Mat.zero(B.nrows, A.ncols).hstack(B) * A.hstack(B).inverse()
+
+
 def power_and_sum_by_steps(M, m):
     """(M^m, sum of M^i over i < m) by m - 1 products and m - 1 sums."""
     power, total = M, Mat.identity(M.nrows)

@@ -412,6 +412,29 @@ def test_large_cover_stdout_is_pinned(monkeypatch, g, m):
     assert hashlib.sha256(text.encode()).hexdigest() == LARGE_COVER_DIGESTS[g, m]
 
 
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+
+
+def test_every_benchmark_golden_digest_matches(tmp_path):
+    # a "welters cover-G-M --K a:b" key runs on the fixture of standard_cover(G, M);
+    # its stdout does not name the fixture's path
+    golden = json.loads(GOLDEN.read_text())
+    kinds = {}
+    for name, digest in golden.items():
+        argv = name.split()
+        if argv[0] == "welters":
+            path = tmp_path / f"{argv[1]}.json"
+            if not path.exists():
+                _, g, m = argv[1].split("-")
+                path.write_text(dumps_canonical(cover_to_obj(standard_cover(int(g), int(m)))))
+            argv[1] = str(path)
+        code, text = run(argv)
+        assert code == EXIT_OK, (name, text)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+        kinds[argv[0]] = kinds.get(argv[0], 0) + 1
+    assert kinds == {"cover": 7, "quotient": 6, "welters": 17}
+
+
 def test_cover_edge_guard_admits_its_bound():
     # (2, 32) has 4 * 32 = 128 edges, exactly MAX_COVER_EDGES
     code, text = run(["cover", "--g", "2", "--m", "32"])
@@ -664,6 +687,13 @@ def test_text_format():
 ])
 def test_nonpositive_genus_or_degree_is_validation(argv, message):
     assert run(argv) == (EXIT_VALIDATION, f"invalid input: {message}\n")
+
+
+@pytest.mark.parametrize("budget", ["-1", "0"])
+def test_quotient_budget_below_one_is_validation(budget):
+    for mode in ("all", "one"):
+        argv = ["quotient", "--g", "3", "--m", "3", "--budget", budget, "--mode", mode]
+        assert run(argv) == (EXIT_VALIDATION, "invalid input: budget must be >= 1\n")
 
 
 def test_quotient_text_format():

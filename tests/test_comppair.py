@@ -9,6 +9,7 @@ from symplat.comppair import (
     complement,
     j_endomorphism,
     ker_mu_of_pair,
+    orthogonal_projection,
     preset_m2,
     welters_construct,
 )
@@ -34,7 +35,7 @@ from symplat.pollat import (
     torsion_subgroup,
 )
 
-from conftest import quotient_exponent, voltage_covers
+from conftest import projection_by_block_inverse, quotient_exponent, voltage_covers
 
 
 def split_pair():
@@ -201,6 +202,33 @@ def test_intersection_exponent_of_standard_covers(g, m):
 def test_intersection_exponent_of_drawn_covers(cover):
     R, volts, m = cover
     _assert_exponent_read_off_the_type_of_B(cyclic_cover(R, VoltageAssignment(m, volts), m))
+
+
+def _assert_projection_is_the_block_inverse_one(cov):
+    # the cover's own pair, whose B is the transfer image, and the pair whose B is the Prym
+    for pair in (cov.pair(), complement(cov.total, prym_sublattice(cov)[0])):
+        assert orthogonal_projection(pair) == projection_by_block_inverse(pair)
+
+
+@pytest.mark.parametrize("g, m", [(2, 2), (2, 3), (3, 3), (2, 5), (4, 2), (8, 8), (16, 4)])
+def test_projection_from_the_gram_of_B_on_standard_covers(g, m):
+    _assert_projection_is_the_block_inverse_one(standard_cover(g, m))
+
+
+@settings(max_examples=15, deadline=None)
+@given(voltage_covers())
+def test_projection_from_the_gram_of_B_on_drawn_covers(cover):
+    R, volts, m = cover
+    _assert_projection_is_the_block_inverse_one(cyclic_cover(R, VoltageAssignment(m, volts), m))
+
+
+@pytest.mark.parametrize("kind", comppair.M2_PRESETS)
+def test_projection_from_the_gram_of_B_on_the_m2_presets(kind, cover22):
+    out = preset_m2(kind, standard_principal(2) if kind == "jacobian_quotient" else cover22)
+    assert out.u.matrix == orthogonal_projection(out.pair) == projection_by_block_inverse(out.pair)
+    if kind == "jacobian_quotient":
+        out = preset_m2(kind, cover22)
+        assert orthogonal_projection(out.pair) == projection_by_block_inverse(out.pair)
 
 
 def test_j_matches_deck_action(cover22):

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, sub
 from pathlib import Path
 
@@ -431,21 +432,32 @@ def test_a_row_with_many_nonzero_entries():
     assert proc.returncode == 0, proc.stderr
 
 
-# -- the kept denominator lcm: set by the constructor that knows it, or on first use
+# -- one integer matrix over one denominator, in lowest terms; rows built when read
 
 _TWINS = (lambda M: M, copy.copy, lambda M: pickle.loads(pickle.dumps(M)))
 
 
-def assert_kept(M):
-    """Entries normalized, and the kept denominator lcm, once set, is what a scan gives."""
+def assert_lowest_terms(M):
+    """num / den in lowest terms, den what a scan of rows gives, rows num / den normalized."""
+    num, den = M.num, M.den
+    assert len(num) == M.nrows and all(len(row) == M.ncols for row in num)
+    assert all(type(x) is int for row in num for x in row), M
+    assert den >= 1 and gcd(den, *(x for row in num for x in row)) == 1, M
     assert_normalized(M)
-    scan = matrix._den(M.rows)
-    if M._den is not None:
-        assert M._den == scan, M
-    assert M.denominator_lcm() == M._den == scan
-    assert M.is_integral() == (scan == 1)
-    for twin in (copy.copy(M), copy.deepcopy(M), pickle.loads(pickle.dumps(M))):
-        assert twin == M and twin._den == M._den
+    assert den == lcm(*(Fraction(x).denominator for row in M.rows for x in row)), M
+    assert M.rows == tuple(tuple(Fraction(x, den) for x in row) for row in num)
+    assert M.denominator_lcm() == den and M.is_integral() == (den == 1)
+
+
+def assert_kept(M):
+    """``assert_lowest_terms`` on M and on its copy, deepcopy and pickled twins,
+    the pickle taken both before and after ``rows`` is first read."""
+    for twin in (M, copy.copy(M), copy.deepcopy(M), pickle.loads(pickle.dumps(M))):
+        assert twin == M and hash(twin) == hash(M)
+        assert_lowest_terms(twin)
+    twin = pickle.loads(pickle.dumps(M))
+    assert twin == M and hash(twin) == hash(M)
+    assert_lowest_terms(twin)
     return M
 
 
@@ -453,16 +465,19 @@ def assert_kept(M):
 def kept_matrices(draw, nrows=None, ncols=None):
     """``rational_matrices``, half of them cleared of denominators.
 
-    Some keep their lcm already, and some are a copy or an unpickled twin, so
-    the kernel sees a kept lcm and a missing one, each on integral and on
-    rational entries.
+    Some are rebuilt by the kernel, so their rows are not built yet, some of
+    those have their rows read, and some are a copy or an unpickled twin: the
+    kernel sees rows built and not built, each on integral and on rational
+    entries.
     """
     M = draw(rational_matrices(nrows, ncols))
     if draw(st.booleans()):
-        d = matrix._den(M.rows)
+        d = lcm(*(Fraction(x).denominator for row in M.rows for x in row))
         M = Mat([[x * d for x in row] for row in M.rows], ncols=M.ncols)
     if draw(st.booleans()):
-        M.denominator_lcm()
+        M = M * Mat.identity(M.ncols)
+        if draw(st.booleans()):
+            M.rows
     return draw(st.sampled_from(_TWINS))(M)
 
 
@@ -526,11 +541,42 @@ def test_kept_denominators_of_hermite_and_kernel_bases(A):
     H = assert_kept(hermite_basis(A))
     assert H == canonical_basis_oracle(A)
     assert H.ncols == to_sympy(A).rank()
-    d = A.denominator_lcm()
+    d = lcm(*(Fraction(x).denominator for row in A.rows for x in row))
     Z = Mat([[x * d for x in row] for row in A.rows], ncols=A.ncols)
     K = assert_kept(integer_kernel(Z))
     assert (Z * K).is_zero() and K.ncols == Z.ncols - to_sympy(Z).rank()
     assert K == hermite_column_form(K)
+
+
+def assert_rows_built_on_read(M):
+    """The rows slot of a fresh kernel result is unset until ``rows`` is read, then kept."""
+    assert M._rows is None, M
+    rows = M.rows
+    if M.den == 1:
+        assert rows is M.num and M._rows is None
+    else:
+        assert M._rows is rows and M.rows is rows
+    return M
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_kernel_results_build_no_rows_until_read(data):
+    n = data.draw(st.integers(1, 5))
+    A = data.draw(kept_matrices(n, n).filter(lambda M: M.den > 1))
+    B = data.draw(kept_matrices(nrows=n).filter(lambda M: M.den > 1))
+    C = data.draw(kept_matrices(n, n).filter(lambda M: M.den > 1))
+    P, S, H = A * B, A + C, hermite_basis(A)
+    for M in (P, S, H):
+        assert_rows_built_on_read(M)
+    assert P.rows == from_sympy(to_sympy(A) * to_sympy(B))
+    assert S.rows == tuple(tuple(map(add, r, s)) for r, s in zip(fractions_of(A), fractions_of(C)))
+    assert H == canonical_basis_oracle(A)
+    expected = oracle_solve(A, B)
+    if expected is not None:
+        assert assert_rows_built_on_read(A.solve(B)).rows == expected
+    if A.det():
+        assert assert_rows_built_on_read(A.inverse()).rows == from_sympy(to_sympy(A).inv())
 
 
 # -- the one-array Smith workspace against the three-array reduction --------
