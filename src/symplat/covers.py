@@ -49,7 +49,7 @@ __all__ = [
     "verify_kernel_identification",
 ]
 
-MAX_COVER_EDGES = 128  # edges of a derived graph; the slowest, (g, m) = (32, 2), builds in about 1.4 s
+MAX_COVER_EDGES = 256  # edges of a derived graph; the slowest, (g, m) = (3, 42), builds in about 2.6 s
 MAX_CENSUS_GENUS = 32  # genus of a quotient census; the g = 32, m = 1 census takes about 0.3 s
 
 
@@ -183,10 +183,12 @@ class _Homology(_Immutable):
     def to_homology(self, rows):
         """Homology columns of the 1-cycles that are the columns of ``rows``.
 
-        ``rows`` is one row per edge of the graph (an edge-space matrix).
+        ``rows`` is one tuple of ints per edge of the graph (an edge-space
+        matrix).
         """
-        cycles = Mat(rows)
-        coords = Mat([rows[f] for f in self.nontree], ncols=cycles.ncols)
+        rows = tuple(rows)
+        cycles = Mat._trusted(rows, len(rows[0]) if rows else 0)
+        coords = Mat._trusted(tuple(rows[f] for f in self.nontree), cycles.ncols)
         certify("chain vectors are cycles", {"chain-cycle": self.fund_cycles * coords == cycles})
         return self.proj * coords
 
@@ -277,26 +279,17 @@ def _build_homology(R):
             vec[e] -= c
         cycles.append(tuple(vec))
     L = len(nontree)
-    fund_cycles = Mat.from_columns(cycles, nrows=R.n_edges)
+    fund_cycles = Mat._trusted(tuple(zip(*cycles)) or ((),) * R.n_edges, L)
 
     merged_rot = _contract_tree(R, tree)
     pos = {d: i for i, d in enumerate(merged_rot)}
     n_pos = len(merged_rot)
-    gram = Mat(
-        [
-            [
-                0 if fi == gi else _chord_sign(pos, n_pos, nontree[fi], nontree[gi])
-                for gi in range(L)
-            ]
-            for fi in range(L)
-        ],
-        ncols=L,
-    )
+    gram = Mat._trusted(tuple(
+        tuple(0 if f == e else _chord_sign(pos, n_pos, f, e) for e in nontree) for f in nontree
+    ), L)
 
     faces = R.face_vectors()
-    face_coords = Mat.from_columns(
-        [tuple(fv[e] for e in nontree) for fv in faces], nrows=L
-    )
+    face_coords = Mat._trusted(tuple(tuple(fv[e] for fv in faces) for e in nontree), len(faces))
     # faces are cycles and lie in the radical of the chord pairing
     certify("face boundaries", {
         "face-cycle": all(
@@ -315,7 +308,7 @@ def _build_homology(R):
     certify("homology rank = 2 * genus", {"h1-rank": h == 2 * R.genus()})
 
     Uinv = U.inverse()
-    proj = Mat(U.rows[r:], ncols=L) if h else Mat.zero(0, L)
+    proj = Mat._trusted(U.num[r:], L)
     section = Uinv.take_columns(range(r, L))
 
     form = section.T * gram * section

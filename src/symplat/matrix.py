@@ -18,7 +18,10 @@ the nonzero entries of A's row select, so a zero entry costs nothing and the
 near-permutation deck actions of the covers stay cheap.  ``rref``, ``rank``,
 ``det``, ``inverse`` and ``solve`` all read their results off one
 fraction-free (Bareiss) Gauss–Jordan elimination, whose every division is
-exact.  The results are unique, so they do not depend on the pivot order.
+exact.  It leaves a row alone until a step needs it: a step only scales a
+row with a zero in the pivot column, and Sylvester's identity makes the
+later catch-up division exact.  The results are unique, so they do not
+depend on the pivot order.
 Integer kernels come from one column reduction, ``integer_kernel``.
 """
 
@@ -122,9 +125,18 @@ def _gauss_jordan(rows, ncols):
     negates a row, so with full rank ``den`` is the determinant of the
     square block.  After k pivots every entry is a k x k minor of the rows
     (Bareiss 1968), so each ``//`` is exact.
+
+    A step would only scale a row with a zero in the pivot column, by the
+    new pivot over the previous one, so such a row is left alone.
+    ``mark[i]`` is the pivot row i was last brought to; its true value is
+    ``a[i] * prev / mark[i]``, a row of minors, so the catch-up division
+    is exact (Sylvester's identity).  A row catches up when it becomes the
+    pivot row, in the step that clears its nonzero pivot-column entry, and
+    at the end.  A swapped row takes its mark along.
     """
     a = [list(row) for row in rows]
     m, pivots, prev = len(a), [], 1
+    mark = [1] * m
     for c in range(ncols):
         r = len(pivots)
         i = next((i for i in range(r, m) if a[i][c]), None)
@@ -132,15 +144,22 @@ def _gauss_jordan(rows, ncols):
             continue
         if i != r:
             a[r], a[i] = a[i], [-x for x in a[r]]
+            mark[r], mark[i] = mark[i], mark[r]
         top = a[r]
+        if mark[r] != prev:
+            top = a[r] = [x * prev // mark[r] for x in top]
         p = top[c]
         for i, row in enumerate(a):
             f = row[c]
-            if i == r or (not f and p == prev):
-                continue
-            a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-        prev = p
+            if f and i != r:
+                # (p * true row - true f * top) / prev, the true row being row * prev / mark[i]
+                a[i] = [(p * x - f * y) // mark[i] for x, y in zip(row, top)]
+                mark[i] = p
+        mark[r] = prev = p
         pivots.append(c)
+    for i, q in enumerate(mark):
+        if q != prev:
+            a[i] = [x * prev // q for x in a[i]]
     return a, prev, pivots
 
 

@@ -400,13 +400,14 @@ LARGE_COVER_DIGESTS = {
     ("2", "32"): "276b7745770bb3a6c8386f4e2dea52a98cd994622412cd96a58ddbe0e551cf90",
     ("4", "16"): "82f044d9febf25d5ed07a9e7498dfc488b0d51f61f2087c2f01ca2ac854ee424",
     ("2", "64"): "263934956d4ee729c024ab21c76502db09fed5319f3e8b4702e82d7e96cd08cd",
+    ("64", "2"): "c5f1010cab3fff6e53318356476c6e31a90f0621dc3395335d8291743b7275fb",
+    ("3", "42"): "e57d971f51e2ad39bc5b6a6a6af1565076cf33b05cd65e53e127a3547928b056",
 }
 
 
-@pytest.mark.parametrize("g, m", [("4", "16"), ("2", "64")])
-def test_large_cover_stdout_is_pinned(monkeypatch, g, m):
-    # (2, 64) has 4 * 64 = 256 edges, past MAX_COVER_EDGES, so the guard is lifted to reach it
-    monkeypatch.setattr(covers, "MAX_COVER_EDGES", 256)
+# (64, 2), the largest base genus, and (3, 42), the slowest of the 256-edge covers
+@pytest.mark.parametrize("g, m", [("4", "16"), ("2", "64"), ("64", "2"), ("3", "42")])
+def test_large_cover_stdout_is_pinned(g, m):
     code, text = run(["cover", "--g", g, "--m", m])
     assert code == EXIT_OK, text
     assert hashlib.sha256(text.encode()).hexdigest() == LARGE_COVER_DIGESTS[g, m]
@@ -436,19 +437,19 @@ def test_every_benchmark_golden_digest_matches(tmp_path):
 
 
 def test_cover_edge_guard_admits_its_bound():
-    # (2, 32) has 4 * 32 = 128 edges, exactly MAX_COVER_EDGES
-    code, text = run(["cover", "--g", "2", "--m", "32"])
+    # (2, 64) has 4 * 64 = 256 edges, exactly MAX_COVER_EDGES
+    code, text = run(["cover", "--g", "2", "--m", "64"])
     assert code == EXIT_OK, text
-    assert hashlib.sha256(text.encode()).hexdigest() == LARGE_COVER_DIGESTS["2", "32"]
+    assert hashlib.sha256(text.encode()).hexdigest() == LARGE_COVER_DIGESTS["2", "64"]
 
 
-@pytest.mark.parametrize("g, m", [("2", "33"), ("1", "65")])
+@pytest.mark.parametrize("g, m", [("2", "65"), ("1", "129")])
 def test_cover_edge_guard_just_past_the_bound(g, m):
-    # 4 * 33 = 132 and 2 * 65 = 130 edges, one step past MAX_COVER_EDGES = 128
+    # 4 * 65 = 260 and 2 * 129 = 258 edges, one step past MAX_COVER_EDGES = 256
     start = time.monotonic()
     code, text = run(["cover", "--g", g, "--m", m])
     assert code == EXIT_BUDGET, text
-    assert text == f"budget error: a degree-{m} cover has more than 128 edges\n"
+    assert text == f"budget error: a degree-{m} cover has more than 256 edges\n"
     assert time.monotonic() - start < 1
 
 

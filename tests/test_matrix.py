@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symplat import matrix
@@ -218,7 +218,46 @@ def rational_matrices(draw, nrows=None, ncols=None):
     return Mat(rows, ncols=n)
 
 
-square_matrices = st.integers(0, 5).flatmap(lambda n: rational_matrices(n, n))
+_units = st.sampled_from((1, -1))
+
+
+@st.composite
+def sparse_matrices(draw, nrows, ncols):
+    """Signed permutations (when square) or mostly-zero matrices, with some zero rows.
+
+    Nonzero entries are +-1 or other values; half the draws allow Fractions,
+    whose denominators come in either sign, so Fractions fall on either side
+    of a product, on both, or on neither.
+    """
+    entries = st.one_of(_units, st.integers(-6, 6))
+    if draw(st.booleans()):
+        entries = st.one_of(entries, _rationals)
+    rows = [[0] * ncols for _ in range(nrows)]
+    if nrows == ncols and draw(st.booleans()):
+        for i, j in enumerate(draw(st.permutations(range(ncols)))):
+            rows[i][j] = draw(_units)
+            if draw(st.integers(0, 7)) == 0:
+                rows[i][j] = draw(entries.filter(bool))
+    elif nrows and ncols:
+        for _ in range(draw(st.integers(0, 2 * max(nrows, ncols)))):
+            rows[draw(st.integers(0, nrows - 1))][draw(st.integers(0, ncols - 1))] = draw(entries)
+    if nrows:
+        for i in draw(st.sets(st.integers(0, nrows - 1), max_size=3)):
+            rows[i] = [0] * ncols
+    return Mat(rows, ncols=ncols)
+
+
+# the elimination sees both: dense rational matrices up to 5x5, and sparse ones
+# and signed permutations up to 10x10, whose zero pivot-column entries leave rows
+# stale across several pivots of either sign and of size > 1
+sparse_shapes = st.tuples(st.integers(0, 10), st.integers(0, 10)).flatmap(
+    lambda s: sparse_matrices(*s)
+)
+eliminated_matrices = st.one_of(rational_matrices(), sparse_shapes)
+square_matrices = st.one_of(
+    st.integers(0, 5).flatmap(lambda n: rational_matrices(n, n)),
+    st.integers(0, 10).flatmap(lambda n: sparse_matrices(n, n)),
+)
 
 
 def to_sympy(M):
@@ -248,8 +287,13 @@ def oracle_solve(A, B):
     return tuple(map(tuple, sol))
 
 
+# Each pinned example swaps two rows last brought to different pivots, 2 and 1,
+# which random draws seldom do.  Were the marks not swapped with the rows, the
+# two rows would be off by factors 2 and 1/2, which cancel in the det; only an
+# inexact catch-up division shows it, in the first RREF and the second inverse.
 @settings(max_examples=150, deadline=None)
-@given(rational_matrices())
+@given(eliminated_matrices)
+@example(Mat([[2, 0, 1], [2, 0, 1], [0, 1, -1]]))
 def test_rref_and_rank_against_oracles(M):
     R, pivots = M.rref()
     assert_normalized(R)
@@ -261,6 +305,7 @@ def test_rref_and_rank_against_oracles(M):
 
 @settings(max_examples=150, deadline=None)
 @given(square_matrices)
+@example(Mat([[2, 2, 0], [-1, -1, -1], [0, 1, 0]]))
 def test_det_and_inverse_against_oracles(M):
     d = M.det()
     assert type(d) is int or d.denominator != 1
@@ -279,8 +324,11 @@ def test_det_and_inverse_against_oracles(M):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_solve_against_oracles(data):
-    A = data.draw(rational_matrices())
-    B = data.draw(rational_matrices(nrows=A.nrows))
+    A = data.draw(eliminated_matrices)
+    B = data.draw(st.one_of(
+        rational_matrices(nrows=A.nrows),
+        st.integers(0, 10).flatmap(lambda k: sparse_matrices(A.nrows, k)),
+    ))
     expected = oracle_solve(A, B)
     sympy_sol = None
     if B.ncols:  # sympy rejects a right-hand side with no columns
@@ -330,35 +378,6 @@ def test_products_against_oracles(data):
 
 
 # -- products as row combinations: signed permutations, sparse and empty shapes
-
-_units = st.sampled_from((1, -1))
-
-
-@st.composite
-def sparse_matrices(draw, nrows, ncols):
-    """Signed permutations (when square) or mostly-zero matrices, with some zero rows.
-
-    Nonzero entries are +-1 or other values; half the draws allow Fractions,
-    whose denominators come in either sign, so Fractions fall on either side
-    of a product, on both, or on neither.
-    """
-    entries = st.one_of(_units, st.integers(-6, 6))
-    if draw(st.booleans()):
-        entries = st.one_of(entries, _rationals)
-    rows = [[0] * ncols for _ in range(nrows)]
-    if nrows == ncols and draw(st.booleans()):
-        for i, j in enumerate(draw(st.permutations(range(ncols)))):
-            rows[i][j] = draw(_units)
-            if draw(st.integers(0, 7)) == 0:
-                rows[i][j] = draw(entries.filter(bool))
-    elif nrows and ncols:
-        for _ in range(draw(st.integers(0, 2 * max(nrows, ncols)))):
-            rows[draw(st.integers(0, nrows - 1))][draw(st.integers(0, ncols - 1))] = draw(entries)
-    if nrows:
-        for i in draw(st.sets(st.integers(0, nrows - 1), max_size=3)):
-            rows[i] = [0] * ncols
-    return Mat(rows, ncols=ncols)
-
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
