@@ -170,15 +170,16 @@ def surface_ribbon(g):
 class _Homology(_Immutable):
     """First homology of the filled surface of a ribbon graph.
 
-    Carries the chosen cycle section and the projection from graph cycles to
-    homology coordinates, so chain-level maps (deck actions, pushforwards,
-    transfers) can be transported to H_1 exactly.
+    Carries the representative edge vectors (columns) of the homology basis,
+    ``reps``, and the projection from graph cycles to homology coordinates, so
+    chain-level maps (deck actions, pushforwards, transfers) can be
+    transported to H_1 exactly.
     """
 
-    __slots__ = ("polarized", "fund_cycles", "nontree", "proj", "section")
+    __slots__ = ("polarized", "fund_cycles", "nontree", "proj", "reps")
 
-    def __init__(self, polarized, fund_cycles, nontree, proj, section):
-        self._fill(polarized, fund_cycles, nontree, proj, section)
+    def __init__(self, polarized, fund_cycles, nontree, proj, reps):
+        self._fill(polarized, fund_cycles, nontree, proj, reps)
 
     def to_homology(self, rows):
         """Homology columns of the 1-cycles that are the columns of ``rows``.
@@ -191,10 +192,6 @@ class _Homology(_Immutable):
         coords = Mat._trusted(tuple(rows[f] for f in self.nontree), cycles.ncols)
         certify("chain vectors are cycles", {"chain-cycle": self.fund_cycles * coords == cycles})
         return self.proj * coords
-
-    def homology_to_edges(self):
-        """Representative edge vectors (columns) of the homology basis."""
-        return self.fund_cycles * self.section
 
 
 def _spanning_tree(R):
@@ -314,7 +311,7 @@ def _build_homology(R):
     form = section.T * gram * section
     P = PolarizedLattice(Lattice.standard(h), form)
     certify("unimodular intersection form", {"h1-principal": polarization_type(P).is_principal})
-    return _Homology(P, fund_cycles, nontree, proj, section)
+    return _Homology(P, fund_cycles, nontree, proj, fund_cycles * section)
 
 
 class CoverHomology(_Immutable):
@@ -415,8 +412,8 @@ def cyclic_cover(R, voltages, m):
     certify(f"cover genus {g_cover} = mg-m+1 = {m * g - m + 1}", {"cover-genus": genus_ok})
 
     # Chain maps on the edge-space rows of the homology representatives.
-    reps = total_h.homology_to_edges().rows
-    base_reps = base_h.homology_to_edges().rows
+    reps = total_h.reps.rows
+    base_reps = base_h.reps.rows
     sigma_mat = total_h.to_homology([reps[e * m + (s - 1) % m] for e in range(E) for s in range(m)])
     push_mat = base_h.to_homology([tuple(map(sum, zip(*reps[e * m:e * m + m]))) for e in range(E)])
     transfer_mat = total_h.to_homology([base_reps[e] for e in range(E) for _ in range(m)])
@@ -448,7 +445,7 @@ def cyclic_cover(R, voltages, m):
 def _monodromy(base_h, voltages):
     """The voltages of the base homology basis, as one row."""
     w_edges = Mat([voltages.values], ncols=len(voltages.values))
-    return w_edges * base_h.homology_to_edges()
+    return w_edges * base_h.reps
 
 
 def _power_and_sum(M, m):

@@ -243,7 +243,7 @@ def orthogonal_subgroup(S, p):
     if S.lower != Q.lower:
         raise DomainError("subgroup does not share the quotient's lower lattice")
     C = p._upper_form * S.upper.basis
-    d = C.denominator_lcm()
+    d = C.den
     K = congruence_kernel((C * d).T, d)
     perp = Lattice(Q.lower.ambient_dim, Q.upper.basis * K)
     # perp contains Q.lower: form(upper, lower) ⊆ Z makes lower coords solve

@@ -2,21 +2,23 @@
 
 A lattice is a discrete subgroup of Q^n given by a basis matrix whose columns
 are the basis vectors; the rank may be smaller than the ambient dimension.
-Every lattice is stored in a canonical form (scaled column Hermite form), so
-equality of lattices is equality of their basis matrices.
+Every lattice is stored in a canonical form, the column Hermite form of its
+basis taken once when the ``Lattice`` is built, so equality of lattices is
+equality of their basis matrices.
 
 The operations here -- saturation, kernels, indices, sums, preimages -- are
 the exact-arithmetic substrate for all polarization and isogeny computations.
-Every kernel comes from the column reduction ``integer_kernel``; only
-``preimage_lattice``, a preimage over Q, takes a Smith form.  An index is
-the product of a diagonal, read off one solve (``_inclusion``).
+Every kernel comes from the column reduction ``integer_kernel``, which
+takes rational matrices as they are; only ``preimage_lattice``, a preimage
+over Q, takes a Smith form.  An index is the product of a diagonal, read off
+one solve (``_inclusion``).
 """
 
 from fractions import Fraction
 from math import prod
 
 from .errors import DomainError, _Immutable
-from .matrix import Mat, hermite_basis, integer_kernel, smith_normal_form
+from .matrix import Mat, hermite_column_form, integer_kernel, smith_normal_form
 
 __all__ = [
     "Lattice",
@@ -38,7 +40,7 @@ class Lattice(_Immutable):
     def __init__(self, ambient_dim, basis):
         if basis.nrows != ambient_dim:
             raise DomainError("basis rows must match ambient dimension")
-        self._fill(ambient_dim, hermite_basis(basis), None)
+        self._fill(ambient_dim, hermite_column_form(basis), None)
 
     @staticmethod
     def standard(n):
@@ -129,19 +131,15 @@ def saturate(vectors, L):
         L.coords_matrix(S)
     except DomainError:
         raise DomainError("spanning vector outside the span of the lattice")
-    # annihilator rows of span(S): the integer kernel of d * S^T
-    ann = integer_kernel(S.T * S.denominator_lcm())
-    return kernel_lattice(ann.T, L)
+    # annihilator rows of span(S): the integer kernel of S^T
+    return kernel_lattice(integer_kernel(S.T).T, L)
 
 
 def kernel_lattice(f, L):
     """The saturated sublattice {x in L : f(x) = 0} for a rational matrix f."""
     if f.ncols != L.ambient_dim:
         raise DomainError("map not defined on the ambient space of the lattice")
-    composed = f * L.basis
-    d = composed.denominator_lcm()
-    K = integer_kernel(composed * d if d != 1 else composed)
-    return Lattice(L.ambient_dim, L.basis * K)
+    return Lattice(L.ambient_dim, L.basis * integer_kernel(f * L.basis))
 
 
 def _inclusion(L, Lp):
@@ -176,9 +174,7 @@ def lattice_intersection(L1, L2):
     """The intersection of two lattices in the same ambient space."""
     if L1.ambient_dim != L2.ambient_dim:
         raise DomainError("ambient dimension mismatch in intersection")
-    stacked = L1.basis.hstack(-L2.basis)
-    d = stacked.denominator_lcm()
-    K = integer_kernel(stacked * d if d != 1 else stacked)
+    K = integer_kernel(L1.basis.hstack(-L2.basis))
     first = Mat(tuple(K.rows[: L1.rank]), ncols=K.ncols)
     return Lattice(L1.ambient_dim, L1.basis * first)
 
@@ -201,7 +197,7 @@ def preimage_lattice(M, target):
     The columns of M must land in the span of ``target``.
     """
     W = target.coords_matrix(M)  # target-basis coordinates of M's columns
-    d = W.denominator_lcm()
+    d = W.den
     _, D, V = smith_normal_form(W * d)
     scale = []
     for i in range(M.ncols):

@@ -22,7 +22,12 @@ exact.  It leaves a row alone until a step needs it: a step only scales a
 row with a zero in the pivot column, and Sylvester's identity makes the
 later catch-up division exact.  The results are unique, so they do not
 depend on the pivot order.
-Integer kernels come from one column reduction, ``integer_kernel``.
+
+The integer routines read ``num`` and take any rational matrix.  The column
+Hermite form of M is that of ``num`` over ``den``, one canonical column
+reduction.  An integer kernel is one column reduction, ``integer_kernel``,
+and its saturated basis is returned as found.  Only the Smith form, whose D
+depends on the scaling, refuses a non-integral matrix.
 """
 
 from fractions import Fraction
@@ -37,7 +42,6 @@ __all__ = [
     "xgcd",
     "smith_normal_form",
     "hermite_column_form",
-    "hermite_basis",
     "integer_kernel",
 ]
 
@@ -49,7 +53,7 @@ def _norm(x):
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return x
+        return int(x)
     raise DomainError(f"matrix entries must be int or Fraction, got {type(x)!r}")
 
 
@@ -269,9 +273,6 @@ class Mat(_Immutable):
             a[i][j] == -a[j][i] for i in range(self.nrows) for j in range(i + 1)
         )
 
-    def denominator_lcm(self):
-        return self.den
-
     # -- arithmetic --------------------------------------------------------
 
     def __eq__(self, other):
@@ -409,11 +410,6 @@ def xgcd(a, b):
     return a, x0, y0
 
 
-def _require_integral(M, what):
-    if not M.is_integral():
-        raise DomainError(f"{what} requires an integer matrix")
-
-
 class _SnfState:
     """Workspace for the Smith reduction: one array [[M, I_m], [I_n, 0]].
 
@@ -507,7 +503,8 @@ def smith_normal_form(M):
     minimal-absolute-value nonzero entry of the active submatrix, ties broken
     by lowest (row, col) index, so the output is a pure function of M.
     """
-    _require_integral(M, "smith_normal_form")
+    if not M.is_integral():
+        raise DomainError("smith_normal_form requires an integer matrix")
     st = _SnfState(M)
     st.eliminate()
     m, n, w = st.m, st.n, st.w
@@ -570,36 +567,31 @@ def _column_echelon(cols, nrows, canonical):
 
 
 def hermite_column_form(M):
-    """Canonical column-style Hermite form of an integer matrix.
+    """Canonical column-style Hermite form of a rational matrix M = num / den.
 
-    Unimodular column operations only.  Returns H of shape (nrows, rank): in
-    each column k the first nonzero entry (the pivot, in row i_k with
-    i_1 < i_2 < ...) is positive, the other entries of row i_k to the left of
-    the pivot are reduced into [0, pivot), and zero columns are dropped.
-    H is the unique such basis of the integer column span, so two integer
-    spans are equal iff their Hermite forms are equal.
+    Unimodular column operations on ``num`` only, then the one division by
+    ``den``.  Returns H of shape (nrows, rank): in each column k the first
+    nonzero entry (the pivot, in row i_k with i_1 < i_2 < ...) is positive,
+    the other entries of row i_k to the left of the pivot are reduced into
+    [0, pivot), and zero columns are dropped.  H is the unique such basis of
+    the lattice spanned by M's columns, so two lattices are equal iff their
+    Hermite forms are equal.
     """
-    _require_integral(M, "hermite_column_form")
-    return hermite_basis(M)
-
-
-def hermite_basis(M):
-    """``hermite_column_form(d*M) / d``, d the lcm of M's denominators: the
-    canonical basis of the lattice spanned by M's rational columns."""
     cols = list(M.T.num)
     r = _column_echelon(cols, M.nrows, canonical=True)
     return _lowest(tuple(zip(*cols[:r])) or ((),) * M.nrows, r, M.den)
 
 
 def integer_kernel(M):
-    """Basis (columns, Hermite-canonical) of {x in Z^n : M x = 0}.
+    """A basis (columns) of {x in Z^n : M x = 0}, for a rational matrix M = num / den.
 
-    Column-reduce the stacked matrix [M; I] and read the I-block under the
-    columns whose M-block vanished.  The result is saturated in Z^n.
+    M x = 0 iff num x = 0.  Column-reduce the stacked matrix [num; I] and
+    read the I-block under the columns whose num-block vanished.  The basis
+    is saturated in Z^n and returned as that one reduction finds it, not in
+    Hermite form: ``Lattice`` takes the canonical basis of what it spans.
     """
-    _require_integral(M, "integer_kernel")
     m, n = M.nrows, M.ncols
     cols = [list(c) + [int(i == j) for i in range(n)] for j, c in enumerate(M.T.num)]
     r = _column_echelon(cols, m, canonical=False)
     basis = tuple(zip(*(c[m:] for c in cols[r:]))) or ((),) * n
-    return hermite_column_form(Mat._trusted(basis, n - r))
+    return Mat._trusted(basis, n - r)

@@ -157,7 +157,7 @@ def canonical_basis_oracle(basis):
     Scale to integers with a Mat product, take ``hermite_column_form``, and
     scale back with a second product.
     """
-    d = basis.denominator_lcm()
+    d = basis.den
     scaled = basis * d if d != 1 else basis
     H = hermite_column_form(Mat(scaled.rows, ncols=scaled.ncols))
     return H * Fraction(1, d) if d != 1 else H
@@ -439,7 +439,7 @@ def dense_chain_maps(cov):
             cols.append(h.proj.apply(coords))
         return Mat.from_columns(cols, nrows=h.polarized.rank)
 
-    reps, base_reps = total_h.homology_to_edges(), base_h.homology_to_edges()
+    reps, base_reps = total_h.reps, base_h.reps
     return (
         transport(total_h, sigma_edges * reps),
         transport(base_h, down_edges * reps),
@@ -582,7 +582,7 @@ def orthogonal_by_triple_product(S, p):
     """S^perp in p.quotient, forming upper^T * form * S.upper on every call."""
     Q = p.quotient
     C = Q.upper.basis.T * p.form * S.upper.basis
-    d = C.denominator_lcm()
+    d = C.den
     K = congruence_kernel((C * d).T, d)
     return FiniteQuotient(Q.lower, Lattice(Q.lower.ambient_dim, Q.upper.basis * K))
 

@@ -94,6 +94,8 @@ def test_face_orbits_are_walked_once_per_graph(monkeypatch):
 def test_ribbon_validation():
     with pytest.raises(DomainError):
         RibbonGraph(2, [(0, 1, 2)])  # darts missing
+    with pytest.raises(DomainError, match="^rotation system does not define a closed surface$"):
+        RibbonGraph(0, [(), (), ()]).genus()  # Euler characteristic 3
 
 
 def test_torus_intersection_form():

@@ -1,5 +1,6 @@
 """Finite quotients: invariants, elements, pairings, subgroup enumeration."""
 
+import re
 from fractions import Fraction
 from math import gcd, prod
 
@@ -20,7 +21,7 @@ from symplat.finquot import (
     orthogonal_subgroup,
 )
 from symplat.lattice import Lattice, _inclusion
-from symplat.matrix import Mat, hermite_basis
+from symplat.matrix import Mat, hermite_column_form
 from symplat.pollat import (
     PolarizedLattice,
     standard_principal,
@@ -632,7 +633,7 @@ def test_hermite_keys_and_the_fallback_match_the_generator(case):
     assert built == [] or all(a is b for a, b in zip(built, found, strict=True))
     for S in built:
         assert S._coords == _inclusion(S.lower, S.upper)
-        assert hermite_basis(S.upper.basis) == S.upper.basis
+        assert hermite_column_form(S.upper.basis) == S.upper.basis
 
 
 def _ker_mu(g, m):
@@ -663,3 +664,20 @@ def test_a_hermite_key_must_contain_lower():
     half = Lattice.from_generators(2, [(Fraction(1, 2), Fraction(1, 2)), (0, 1)])
     assert S == FiniteQuotient(Z2.scaled(2), half)
     assert S._coords == _inclusion(S.lower, S.upper) and S.order == 8
+
+
+def _halves_plus_thirds():
+    halves = torsion_subgroup(standard_principal(1), 2)[0]
+    thirds = torsion_subgroup(standard_principal(1), 3)[0]
+    return halves.element((0, Fraction(1, 2))) + thirds.element((0, Fraction(1, 3)))
+
+
+FINQUOT_REFUSALS = [
+    (_halves_plus_thirds, "elements of different quotients"),
+]
+
+
+@pytest.mark.parametrize("call, message", FINQUOT_REFUSALS)
+def test_finquot_refuses_malformed_input(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()

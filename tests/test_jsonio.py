@@ -1,5 +1,6 @@
 """Serialization: bit-exact round trips and canonical dumps."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -102,3 +103,16 @@ def test_ambient_dim_must_be_a_nonnegative_int():
             with pytest.raises(DomainError):
                 decode({"ambient_dim": dim, "basis": [], "form": []})
     assert lattice_from_obj({"ambient_dim": 0, "basis": []}) == Lattice.standard(0)
+
+
+JSONIO_REFUSALS = [
+    (lambda: lattice_from_obj({"ambient_dim": 2}), "malformed lattice object"),
+    (lambda: lattice_from_obj({"basis": []}), "malformed lattice object"),
+    (lambda: lattice_from_obj({"ambient_dim": 2, "basis": 5}), "malformed lattice object"),
+]
+
+
+@pytest.mark.parametrize("call, message", JSONIO_REFUSALS)
+def test_jsonio_refuses_malformed_input(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,6 +1,7 @@
 """Lattices: saturation, kernels, indices, sums, intersections, preimages."""
 
 import random
+import re
 from fractions import Fraction
 from math import prod
 
@@ -390,3 +391,23 @@ def test_nested_pairs_take_one_solve_and_no_det_or_inverse(monkeypatch):
     calls.update(solve=0)
     assert upper.same_span(lower)
     assert calls["solve"] <= 1
+
+
+LATTICE_REFUSALS = [
+    (lambda: Lattice(3, Mat.identity(2)), "basis rows must match ambient dimension"),
+    (lambda: Lattice.from_generators(2, [(1, 0, 0)]), "generator length must match ambient dimension"),
+    (lambda: kernel_lattice(Mat([[1, 0, 0]]), Lattice.standard(2)),
+     "map not defined on the ambient space of the lattice"),
+    (lambda: lattice_sum(Lattice.standard(2), Lattice.standard(3)),
+     "ambient dimension mismatch in lattice sum"),
+    (lambda: lattice_intersection(Lattice.standard(2), Lattice.standard(3)),
+     "ambient dimension mismatch in intersection"),
+    (lambda: congruence_kernel(Mat([[Fraction(1, 2)]]), 2),
+     "congruence_kernel requires an integer matrix"),
+]
+
+
+@pytest.mark.parametrize("call, message", LATTICE_REFUSALS)
+def test_lattice_refuses_malformed_input(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()

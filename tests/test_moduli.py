@@ -1,5 +1,7 @@
 """Dimension tables and genus bounds against independently coded formulas."""
 
+import re
+
 import pytest
 
 from symplat.errors import DomainError
@@ -87,3 +89,17 @@ def test_report_serialization():
     rep = locus_dimensions(3, 3, 0)
     obj = rep.to_json_obj()
     assert obj["genus_welters_upper"] == "unknown"
+
+
+MODULI_REFUSALS = [
+    (lambda: locus_dimensions(2, 0), "cover degree must be >= 1"),
+    (lambda: genus_bounds(1, 2), "genus bounds need g >= 2"),
+    (lambda: genus_bounds(2, 0), "cover degree must be >= 1"),
+    (lambda: two_minimal_locus_dim(1), "locus dimension needs g >= 2"),
+]
+
+
+@pytest.mark.parametrize("call, message", MODULI_REFUSALS)
+def test_moduli_refuses_malformed_input(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()

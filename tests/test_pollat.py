@@ -1,6 +1,7 @@
 """Polarized lattices: types, duals, kernels, quotients, adjoints."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -372,3 +373,29 @@ def test_smith_form_is_taken_only_off_determinant_one(d, data):
             assert polarization_type(PolarizedLattice(L, form)).chain == invariants[0::2]
     assert invariants[0::2] == invariants[1::2]
     assert len(snfs) == (d != 1)
+
+
+_Z2 = Lattice.standard(2)
+
+POLLAT_REFUSALS = [
+    (lambda: PolarizationType((1, 0)), "polarization type entries must be positive"),
+    (lambda: PolarizationType((-2,)), "polarization type entries must be positive"),
+    (lambda: PolarizedLattice(_Z2, Mat.identity(3)), "form must be square of ambient dimension"),
+    (lambda: PolarizedLattice(_Z2, Mat([[0, 1], [1, 0]])), "polarization form must be alternating"),
+    (lambda: LatticeMap(Mat.identity(2), Lattice.standard(3), _Z2),
+     "map shape does not match the ambient spaces"),
+    (lambda: LatticeMap(Mat.identity(2), _Z2, Lattice.from_generators(2, [(1, 0)])),
+     "image of the source lattice leaves the target span"),
+    (lambda: adjoint_map(LatticeMap(Mat.identity(2), _Z2.scaled(2), _Z2),
+                         standard_principal(1), standard_principal(1)),
+     "map source disagrees with the source polarized lattice"),
+    (lambda: adjoint_map(LatticeMap(Mat.identity(2), _Z2, _Z2.scaled(Fraction(1, 2))),
+                         standard_principal(1), standard_principal(1)),
+     "map target disagrees with the target polarized lattice"),
+]
+
+
+@pytest.mark.parametrize("call, message", POLLAT_REFUSALS)
+def test_pollat_refuses_malformed_input(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
