@@ -26,7 +26,7 @@ from math import gcd
 
 from .comppair import _kept, complement, ker_mu_of_pair, orthogonal_projection
 from .errors import BudgetError, DomainError, _Immutable, certify
-from .finquot import FiniteQuotient, enumerate_mti, is_maximal_isotropic
+from .finquot import FiniteQuotient, _dedekind_psi, is_maximal_isotropic
 from .lattice import Lattice, kernel_lattice, preimage_lattice, saturate
 from .matrix import Mat, smith_normal_form
 from .pollat import LatticeMap, PolarizedLattice, polarization_type
@@ -537,6 +537,13 @@ def ker_mu_basis(cov):
     xi is a deterministic rational solution of Nm(xi) = eta; xi_bar is its
     image in B-hat = span(B)/pr_B(Lambda).  P_1 is the generator of
     ker(Nm-bar) whose component index is 1.
+
+    The six checks overlap.  ker-mu-invariants gives ker-mu-order, and with
+    generate it gives xi-order and p1-order: two generators of (Z/m)^2 both
+    have order m.  p1-in-ker-nmbar holds by construction, as P_1 is a
+    multiple of a generator of ker Nm-bar, which shares its lower lattice
+    with ker mu_B.  Each is still checked, so that a fault shows under its
+    own name.
     """
     if cov.m < 2:
         raise DomainError("ker mu basis needs a cover of degree >= 2")
@@ -575,16 +582,22 @@ def ker_mu_basis(cov):
 
 
 def mti_labels(m):
-    """The first (a, b), gcd(a, b, m) = 1, of each cyclic subgroup of order m of (Z/m)^2."""
-    out, seen = [], set()
+    """The first (a, b), gcd(a, b, m) = 1, of each cyclic subgroup of order m of (Z/m)^2.
+
+    The pairs are walked in lexicographic order.  A pair not yet marked starts
+    a new subgroup, and marks its unit multiples (k a, k b), gcd(k, m) = 1: the
+    other generators of that subgroup.
+    """
+    units = [k for k in range(m) if gcd(k, m) == 1]
+    marked = bytearray(m * m)
+    out = []
     for a in range(m):
         for b in range(m):
-            if gcd(a, b, m) != 1:
+            if marked[a * m + b] or gcd(a, b, m) != 1:
                 continue
-            cyclic = frozenset(((k * a) % m, (k * b) % m) for k in range(m))
-            if cyclic not in seen:
-                seen.add(cyclic)
-                out.append((a, b))
+            out.append((a, b))
+            for k in units:
+                marked[(k * a) % m * m + (k * b) % m] = 1
     return out
 
 
@@ -600,20 +613,24 @@ def lift_mti_label(cov, a, b):
 
 
 def classify_mti_K(cov):
-    """((a, b), K) for each label of ``mti_labels(m)``: one K per cyclic subgroup of (Z/m)^2.
+    """((a, b), K) for each label of ``mti_labels(m)``: every cyclic maximal isotropic K of ker mu_B.
 
-    (xi_bar, P_1) is a basis of (Z/m)^2.  At every m the list is exactly the
-    cyclic maximal isotropic subgroups of ker mu_B (those with one invariant),
-    cross-checked against exhaustive enumeration; the other sigma(m) - psi(m)
-    are never birational, since K + <P_1> = ker mu_B forces K = Z/m.
+    The list is certified complete by a count.  ``ker_mu_basis`` certifies
+    that ker mu_B = (Z/m)^2 (ker-mu-invariants) and that xi_bar and P_1, each
+    of order m (xi-order, p1-order), generate it (generate).  Under the
+    nondegenerate alternating pairing of ker mu_B every cyclic subgroup of
+    order m is isotropic, as e(v, v) = 0, and maximal, as |K|^2 = |ker mu_B|.
+    So the cyclic maximal isotropic subgroups are exactly the psi(m) cyclic
+    subgroups of order m (Dedekind's psi).  Each lift is cyclic and certified
+    maximal isotropic (classify-mti), so psi(m) pairwise distinct lifts are
+    all of them (classify-crosscheck).  The other sigma(m) - psi(m) maximal
+    isotropic subgroups are never birational, since K + <P_1> = ker mu_B
+    forces K = Z/m.
     """
     out = [((a, b), lift_mti_label(cov, a, b)) for a, b in mti_labels(cov.m)]
-    expected = enumerate_mti(*ker_mu_of_pair(cov.pair(), cov.m))
-    found = sorted(K.upper.basis.rows for _, K in out)
-    certify("classification against exhaustive enumeration", {
-        "classify-crosscheck": found == sorted(
-            S.upper.basis.rows for S in expected if len(S.invariants) == 1
-        ),
+    certify("classification by the psi(m) count", {
+        "classify-crosscheck": len(out) == _dedekind_psi(cov.m)
+        and len({K.upper for _, K in out}) == len(out),
     })
     return out
 

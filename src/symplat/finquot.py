@@ -369,6 +369,23 @@ def enumerate_subgroups(Q, budget=DEFAULT_BUDGET):
     return _enumerate(Q, budget)
 
 
+def _dedekind_psi(m):
+    """Dedekind's psi(m) = m * prod over primes p | m of (1 + 1/p), by trial division.
+
+    It counts the cyclic subgroups of order m of (Z/m)^2.
+    """
+    psi, n, p = m, m, 2
+    while p * p <= n:
+        if n % p == 0:
+            psi = psi // p * (p + 1)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        psi = psi // n * (n + 1)
+    return psi
+
+
 def enumerate_mti(Q, p, budget=DEFAULT_BUDGET):
     """All maximal totally isotropic subgroups of Q under p, canonical order.
 

@@ -473,6 +473,26 @@ def minor_gcd_invariants(M):
     return tuple(out)
 
 
+# -- oracle: the labels of the cyclic subgroups, one orbit set each ---------
+
+def mti_labels_by_orbits(m):
+    """The first (a, b), gcd(a, b, m) = 1, of each cyclic subgroup of order m of (Z/m)^2.
+
+    Builds every subgroup <(a, b)> as a set of its m multiples and keeps a pair
+    whose set is new, in lexicographic order: O(m^3).
+    """
+    out, seen = [], set()
+    for a in range(m):
+        for b in range(m):
+            if gcd(a, b, m) != 1:
+                continue
+            cyclic = frozenset(((k * a) % m, (k * b) % m) for k in range(m))
+            if cyclic not in seen:
+                seen.add(cyclic)
+                out.append((a, b))
+    return out
+
+
 # -- oracle: the label loop that lifts every coprime label ------------------
 
 def classify_by_lifting_every_label(cov):

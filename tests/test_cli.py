@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symplat import cli, covers, pollat
+from symplat import cli, comppair, covers, pollat
 from symplat.cli import (
     EXIT_BUDGET,
     EXIT_CERTIFICATION,
@@ -24,7 +24,13 @@ from symplat.cli import (
     cmd_quotient,
     run,
 )
-from symplat.covers import VoltageAssignment, cyclic_cover, ker_mu_basis, standard_cover
+from symplat.covers import (
+    VoltageAssignment,
+    classify_mti_K,
+    cyclic_cover,
+    ker_mu_basis,
+    standard_cover,
+)
 from symplat.finquot import FiniteQuotient
 from symplat.jsonio import SCHEMA, cover_to_obj, dumps_canonical
 from symplat.lattice import Lattice
@@ -84,6 +90,21 @@ def test_quotient_mode_one_builds_only_what_it_prints(monkeypatch):
     # one survivor is built and certified; the other two quotients are the
     # 2-torsion itself and the radical of its pairing
     assert (sum(built), sum(certified), sum(inits)) == (1, 1, 2)
+
+
+def test_cover_searches_no_lagrangians(monkeypatch):
+    # classify_mti_K certifies its list by the psi(m) count, so a cover run
+    # never enumerates ker mu_B; every module that holds enumerate_mti counts
+    holders = [
+        module for name, module in sorted(sys.modules.items())
+        if name.startswith("symplat.") and hasattr(module, "enumerate_mti")
+    ]
+    searches = [_record_calls(monkeypatch, module, "enumerate_mti") for module in holders]
+    assert len(payload(["cover", "--g", "2", "--m", "6"])["certificate"]["subgroups"]) == 12
+    assert len(classify_mti_K(standard_cover(2, 4))) == 6
+    assert sum(map(len, searches)) == 0
+    comppair.preset_m2("jacobian_quotient", pollat.standard_principal(1))
+    assert sum(map(len, searches)) == 1  # the counters see a search that does run
 
 
 def test_principal_census_takes_no_smith_form(monkeypatch):
@@ -371,7 +392,8 @@ def test_forced_failure_under_python_O_exits_1():
 
 
 def test_forced_cover_failure_exits_1(monkeypatch):
-    monkeypatch.setattr(covers, "enumerate_mti", lambda Q, p: [])
+    real = covers.mti_labels
+    monkeypatch.setattr(covers, "mti_labels", lambda m: real(m)[1:])  # one label too few
     code, text = run(["cover", "--g", "2", "--m", "2"])
     assert code == EXIT_CERTIFICATION
     assert text.startswith("certification failure:"), text

@@ -29,7 +29,7 @@ from symplat.covers import (
     verify_kernel_identification,
 )
 from symplat.errors import DomainError
-from symplat.finquot import FiniteQuotient, enumerate_mti
+from symplat.finquot import FiniteQuotient, _dedekind_psi, enumerate_mti
 from symplat.lattice import Lattice, kernel_lattice, lattice_sum, saturate
 from symplat.matrix import Mat
 from symplat.pollat import ker_lambda, polarization_type
@@ -42,6 +42,7 @@ from conftest import (
     dense_chain_maps,
     homology_with_form,
     kernel_identification_by_lattices,
+    mti_labels_by_orbits,
     power_and_sum_by_steps,
     preimage_under_mult,
     subdivided_surface,
@@ -565,6 +566,28 @@ def _psi(m):
         if m % p == 0 and all(p % q for q in range(2, p)):
             out = out * (p + 1) // p
     return out
+
+
+def test_dedekind_psi_by_trial_division():
+    assert [_dedekind_psi(m) for m in range(1, 257)] == [_psi(m) for m in range(1, 257)]
+
+
+def test_mti_labels_match_the_orbit_sets():
+    # the order is printed, as the cover labels and in the welters refusal
+    for m in range(1, 65):
+        assert mti_labels(m) == mti_labels_by_orbits(m), m
+
+
+@settings(max_examples=10, deadline=None)
+@given(voltage_covers(degrees=st.integers(2, 12)))
+def test_lifts_are_the_cyclic_members_of_the_exhaustive_enumeration(cover):
+    # the psi(m) count certifies the list; the search of ker mu_B agrees
+    R, volts, m = cover
+    cov = cyclic_cover(R, VoltageAssignment(m, volts), m)
+    lifted = [K.upper for _, K in classify_mti_K(cov)]
+    found = enumerate_mti(*ker_mu_of_pair(cov.pair(), m))
+    assert len(set(lifted)) == len(lifted)
+    assert set(lifted) == {S.upper for S in found if len(S.invariants) == 1}
 
 
 def _assert_classified_as_by_lifting(cov):

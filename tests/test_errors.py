@@ -17,6 +17,7 @@ import pytest
 from symplat import comppair, covers, matrix, pollat
 from symplat.comppair import complement, preset_m2
 from symplat.errors import CertificationError, _Immutable
+from symplat.finquot import QuotientElement
 from symplat.lattice import Lattice
 from symplat.matrix import Mat
 from symplat.pollat import (
@@ -248,22 +249,108 @@ def force_p1_index(monkeypatch):
     return lambda: covers.ker_mu_basis(cov)
 
 
+def _ker_mu_cover():
+    """A double cover with everything ``ker_mu_basis`` reads kept, and its ker mu_B."""
+    cov = covers.standard_cover(2, 2)
+    covers.eta_class(cov)
+    covers.norm_component_group(cov)
+    return cov, covers.ker_mu_of_pair(cov.pair(), cov.m)[0]
+
+
+def _ker_mu_group_property(monkeypatch, name, value):
+    """Make FiniteQuotient.<name> read ``value(real)`` on the kept ker mu_B only."""
+    cov, Q = _ker_mu_cover()
+    real = getattr(covers.FiniteQuotient, name).fget
+    monkeypatch.setattr(
+        covers.FiniteQuotient, name, property(lambda S: value(real(S)) if S is Q else real(S))
+    )
+    return lambda: covers.ker_mu_basis(cov)
+
+
+def force_ker_mu_order(monkeypatch):
+    return _ker_mu_group_property(monkeypatch, "order", lambda order: 2 * order)
+
+
+def force_ker_mu_invariants(monkeypatch):
+    # Z/4 in place of Z/2 x Z/2: the order is still 4
+    return _ker_mu_group_property(monkeypatch, "invariants", lambda inv: (inv[0] * inv[1],))
+
+
+def _basis_element_order_doubled(monkeypatch, k):
+    """Make QuotientElement.order double on the k-th of (xi_bar, P_1) only.
+
+    The element is matched by value, from a twin cover.  Under the other
+    checks an order below m fails ``generate`` too, so only a seam on the
+    order itself reaches these checks alone.
+    """
+    twin = covers.ker_mu_basis(covers.standard_cover(2, 2))[k]
+    cov, _ = _ker_mu_cover()
+    real = QuotientElement.order
+    monkeypatch.setattr(QuotientElement, "order", lambda x: real(x) * (2 if x == twin else 1))
+    return lambda: covers.ker_mu_basis(cov)
+
+
+def force_xi_order(monkeypatch):
+    return _basis_element_order_doubled(monkeypatch, 0)
+
+
+def force_p1_order(monkeypatch):
+    return _basis_element_order_doubled(monkeypatch, 1)
+
+
+def force_generate(monkeypatch):
+    cov, _ = _ker_mu_cover()
+    real = covers.FiniteQuotient.subgroup
+    # <xi_bar> alone: both orders are still m
+    monkeypatch.setattr(covers.FiniteQuotient, "subgroup", lambda Q, gens: real(Q, list(gens)[:1]))
+    return lambda: covers.ker_mu_basis(cov)
+
+
+def force_p1_in_ker_nmbar(monkeypatch):
+    # xi_bar + P_1 has order m and generates with xi_bar, but its norm is eta
+    xi_bar, P1, _ = covers.ker_mu_basis(covers.standard_cover(2, 2))
+    cov, _ = _ker_mu_cover()
+    monkeypatch.setattr(covers, "_cyclic_generator", lambda Q, m, what, failure: xi_bar + P1)
+    monkeypatch.setattr(covers, "norm_component_group", lambda cov: (None, lambda x: 1))
+    return lambda: covers.ker_mu_basis(cov)
+
+
 def force_classify_mti(monkeypatch):
     cov = covers.standard_cover(2, 2)
     monkeypatch.setattr(covers, "is_maximal_isotropic", lambda K, p: False)
     return lambda: covers.lift_mti_label(cov, 1, 0)
 
 
-def force_classify_crosscheck(monkeypatch):
-    cov = covers.standard_cover(2, 3)
-    monkeypatch.setattr(covers, "enumerate_mti", lambda Q, p: [])
+def _classify_with_labels(monkeypatch, m, edit):
+    """classify_mti_K at (2, m), with ``covers.mti_labels`` returning ``edit`` of its list."""
+    cov = covers.standard_cover(2, m)
+    real = covers.mti_labels
+    monkeypatch.setattr(covers, "mti_labels", lambda m: edit(real(m)))
     return lambda: covers.classify_mti_K(cov)
+
+
+def _drop_first(labels):
+    return labels[1:]  # psi(m) - 1 distinct lifts
+
+
+def _repeat_first(labels):
+    return labels[:-1] + labels[:1]  # psi(m) lifts, one twice
+
+
+def force_classify_crosscheck(monkeypatch):
+    return _classify_with_labels(monkeypatch, 3, _drop_first)
 
 
 def force_classify_crosscheck_composite(monkeypatch):
-    cov = covers.standard_cover(2, 4)
-    monkeypatch.setattr(covers, "enumerate_mti", lambda Q, p: [])
-    return lambda: covers.classify_mti_K(cov)
+    return _classify_with_labels(monkeypatch, 4, _drop_first)
+
+
+def force_classify_crosscheck_repeated(monkeypatch):
+    return _classify_with_labels(monkeypatch, 3, _repeat_first)
+
+
+def force_classify_crosscheck_composite_repeated(monkeypatch):
+    return _classify_with_labels(monkeypatch, 4, _repeat_first)
 
 
 FORCED = [
@@ -292,9 +379,17 @@ FORCED = [
     ("ker-transfer-cyclic", force_ker_transfer_cyclic),
     ("ker-nmbar-cyclic", force_ker_nmbar_cyclic),
     ("p1-index", force_p1_index),
+    ("ker-mu-order", force_ker_mu_order),
+    ("ker-mu-invariants", force_ker_mu_invariants),
+    ("xi-order", force_xi_order),
+    ("p1-order", force_p1_order),
+    ("generate", force_generate),
+    ("p1-in-ker-nmbar", force_p1_in_ker_nmbar),
     ("classify-mti", force_classify_mti),
     ("classify-crosscheck", force_classify_crosscheck),
     ("classify-crosscheck", force_classify_crosscheck_composite),
+    ("classify-crosscheck", force_classify_crosscheck_repeated),
+    ("classify-crosscheck", force_classify_crosscheck_composite_repeated),
 ]
 
 

@@ -535,13 +535,41 @@ def kept_matrices(draw, nrows=None, ncols=None):
     """
     M = draw(rational_matrices(nrows, ncols))
     if draw(st.booleans()):
-        d = lcm(*(Fraction(x).denominator for row in M.rows for x in row))
-        M = Mat([[x * d for x in row] for row in M.rows], ncols=M.ncols)
+        M = _cleared(M)
+    return _kept_forms(draw, M)
+
+
+def _cleared(M):
+    """M times the lcm of its denominators: an integer matrix."""
+    d = lcm(*(Fraction(x).denominator for row in M.rows for x in row))
+    return Mat([[x * d for x in row] for row in M.rows], ncols=M.ncols)
+
+
+def _kept_forms(draw, M):
+    """M as it is, rebuilt by the kernel (rows read or not), then maybe a twin."""
     if draw(st.booleans()):
         M = M * Mat.identity(M.ncols)
         if draw(st.booleans()):
             M.rows
     return draw(st.sampled_from(_TWINS))(M)
+
+
+@st.composite
+def fractional_matrices(draw, nrows=None, ncols=None):
+    """``kept_matrices`` with den > 1 by construction, at least one row and column.
+
+    An integer matrix is divided by a d >= 2 that does not divide one of its
+    entries; nothing is filtered out.
+    """
+    m = draw(st.integers(1, 5)) if nrows is None else nrows
+    n = draw(st.integers(1, 5)) if ncols is None else ncols
+    rows = [list(row) for row in _cleared(draw(rational_matrices(m, n))).rows]
+    d, i, j = draw(st.integers(2, 6)), draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
+    if rows[i][j] % d == 0:
+        rows[i][j] += 1
+    M = Mat([[Fraction(x, d) for x in row] for row in rows], ncols=n)
+    assert M.den > 1
+    return _kept_forms(draw, M)
 
 
 def fractions_of(M):
@@ -628,9 +656,9 @@ def assert_rows_built_on_read(M):
 @given(st.data())
 def test_kernel_results_build_no_rows_until_read(data):
     n = data.draw(st.integers(1, 5))
-    A = data.draw(kept_matrices(n, n).filter(lambda M: M.den > 1))
-    B = data.draw(kept_matrices(nrows=n).filter(lambda M: M.den > 1))
-    C = data.draw(kept_matrices(n, n).filter(lambda M: M.den > 1))
+    A = data.draw(fractional_matrices(n, n))
+    B = data.draw(fractional_matrices(nrows=n))
+    C = data.draw(fractional_matrices(n, n))
     P, S, H = A * B, A + C, hermite_column_form(A)
     for M in (P, S, H):
         assert_rows_built_on_read(M)
