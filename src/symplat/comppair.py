@@ -147,6 +147,11 @@ def j_endomorphism(pair, m):
     j acts as 1 on A and as 1-m on B, satisfies the Prym-Tjurin relation
     (j-1)(j+m-1) = 0, has ker(1-j) saturated equal to A and ker(j+m-1) equal
     to B, and is E-self-adjoint through 1-j = m*pr_B.
+
+    The checks overlap: with complement-rank, the two kernels fix j as 1 on A
+    and 1-m on B, which gives prym-tjurin and, as A is E-orthogonal to B,
+    pr_B-self-adjoint.  Each is still checked, so that a fault shows under its
+    own name.
     """
     if m < 1:
         raise DomainError("m must be >= 1")
@@ -184,6 +189,12 @@ def welters_construct(pair, K, m):
     maximal totally isotropic subgroup of ker μ_B (a FiniteQuotient presented
     over the dual lattice of B).  The returned certificate records every
     identity checked; any failure raises CertificationError naming it.
+
+    Three checks repeat others: (j-1)(j+m-1) = 0 is prym-tjurin on the kept
+    j, |A∩B| = |ker λ_A| = |ker λ_B| is pair-order-identity on the kept
+    orders, and u∘u_t = [m] follows from u_t∘u = 1 - j, as u = pr_B maps Λ
+    onto a lattice of full rank in span X.  They are kept in the certificate,
+    which the ``welters`` report prints.
     """
     ambient = pair.ambient
     Qmu, pmu = ker_mu_of_pair(pair, m)

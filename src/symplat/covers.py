@@ -289,9 +289,7 @@ def _build_homology(R):
     face_coords = Mat._trusted(tuple(tuple(fv[e] for fv in faces) for e in nontree), len(faces))
     # faces are cycles and lie in the radical of the chord pairing
     certify("face boundaries", {
-        "face-cycle": all(
-            fund_cycles.apply(face_coords.col(k)) == tuple(fv) for k, fv in enumerate(faces)
-        ),
+        "face-cycle": fund_cycles * face_coords == Mat._trusted(tuple(zip(*faces)), len(faces)),
         "face-radical": (gram * face_coords).is_zero(),
     })
 
@@ -346,8 +344,16 @@ class CoverHomology(_Immutable):
 
     @_kept
     def pair(self):
-        """The complementary pair (A = Prym, B = transfer image) in the total."""
-        return complement(self.total, prym_sublattice(self)[1])
+        """The complementary pair (A = Prym, B = transfer image) in the total.
+
+        ``complement`` builds A as the E-orthogonal complement of B; it is the
+        saturated kernel of the norm, since E_N(pi^* x, y) = E_0(x, pi_* y)
+        and E_0 is nondegenerate.
+        """
+        sub_A, sub_B = prym_sublattice(self)
+        pair = complement(self.total, sub_B)
+        certify("Prym as the kernel of the norm", {"prym-norm-kernel": pair.sub_A == sub_A})
+        return pair
 
     def voltage_functional(self):
         """The monodromy functional on base homology (Z/m valued on H_1)."""

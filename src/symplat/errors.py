@@ -11,14 +11,25 @@ raise turns the DomainError of a non-integral adjoint into the failure
 Every value class derives from ``_Immutable``: its instances are compared,
 hashed and memoized, so attributes are set only while the instance is built,
 through ``object.__setattr__`` or ``_fill``.  A value is its own copy, and a
-pickle restores its slots as they were.
+pickle restores its slots as they were.  A class that names the slots of its
+value in ``_key`` compares and hashes by them; any other compares by identity.
 """
+
+from operator import attrgetter
 
 
 class _Immutable:
     """Base of the value classes: assigning or deleting an attribute raises."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        """Give a class with ``_key`` its equality (same type, equal key slots) and hash."""
+        super().__init_subclass__(**kwargs)
+        if "_key" in cls.__dict__:
+            key = attrgetter(*cls._key)
+            cls.__eq__ = lambda self, other: type(other) is type(self) and key(self) == key(other)
+            cls.__hash__ = lambda self: hash(key(self))
 
     def _fill(self, *values):
         """Set the slots, in ``__slots__`` order, to ``values``: for constructors only."""

@@ -36,11 +36,12 @@ DEFAULT_BUDGET = 2**16
 class FiniteQuotient(_Immutable):
     """The finite abelian group upper/lower for nested equal-span lattices."""
 
-    __slots__ = ("lower", "upper", "_coords", "_snf", "_hash")
+    __slots__ = ("lower", "upper", "_coords", "_snf")
+    _key = ("lower", "upper")
 
     def __init__(self, lower, upper):
         T = _inclusion(lower, upper)  # the one solve: lower.basis = upper.basis * T
-        self._fill(lower, upper, T, None, None)
+        self._fill(lower, upper, T, None)
 
     @classmethod
     def _over_hermite(cls, lower, c, keys):
@@ -62,9 +63,9 @@ class FiniteQuotient(_Immutable):
                     T[i][j], rem = divmod(x, row[i])
                     if rem:
                         raise DomainError("lower lattice is not contained in the upper one")
-            upper = Lattice._from_slots(n, Mat._trusted(H, n, 1).scaled(c), None)
+            upper = Lattice._from_slots(n, Mat._trusted(H, n, 1).scaled(c))
             coords = Mat._trusted(tuple(map(tuple, T)), n, 1)
-            out.append(cls._from_slots(lower, upper, coords, None, None))
+            out.append(cls._from_slots(lower, upper, coords, None))
         return out
 
     def _adapted(self):
@@ -89,18 +90,6 @@ class FiniteQuotient(_Immutable):
         """Elementary divisors > 1, in ascending divisibility order."""
         _, diag = self._adapted()
         return tuple(d for d in diag if d > 1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteQuotient)
-            and self.lower == other.lower
-            and self.upper == other.upper
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.lower, self.upper)))
-        return self._hash
 
     def __repr__(self):
         inv = self.invariants
@@ -157,6 +146,7 @@ class QuotientElement(_Immutable):
     """
 
     __slots__ = ("parent", "c", "rep")
+    _key = ("parent", "rep")
 
     def __init__(self, parent, vector, _coords=None):
         c = _coords
@@ -170,16 +160,6 @@ class QuotientElement(_Immutable):
                 raise DomainError("representative does not lie in the upper lattice")
         c = tuple(x % 1 or 0 for x in c)
         self._fill(parent, c, parent.lower.basis.apply(c))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuotientElement)
-            and self.parent == other.parent
-            and self.rep == other.rep
-        )
-
-    def __hash__(self):
-        return hash((self.parent, self.rep))
 
     def __add__(self, other):
         if self.parent != other.parent:

@@ -35,12 +35,13 @@ __all__ = [
 class Lattice(_Immutable):
     """A full-column-rank basis matrix up to unimodular column equivalence."""
 
-    __slots__ = ("ambient_dim", "basis", "_hash")
+    __slots__ = ("ambient_dim", "basis")
+    _key = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim, basis):
         if basis.nrows != ambient_dim:
             raise DomainError("basis rows must match ambient dimension")
-        self._fill(ambient_dim, hermite_column_form(basis), None)
+        self._fill(ambient_dim, hermite_column_form(basis))
 
     @staticmethod
     def standard(n):
@@ -58,18 +59,6 @@ class Lattice(_Immutable):
     @property
     def rank(self):
         return self.basis.ncols
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Lattice)
-            and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.ambient_dim, self.basis)))
-        return self._hash
 
     def __repr__(self):
         return f"Lattice(dim={self.ambient_dim}, rank={self.rank})"

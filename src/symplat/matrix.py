@@ -174,7 +174,8 @@ class Mat(_Immutable):
     transpose, exact inverse/solve over Q, stacking and column slicing.
     """
 
-    __slots__ = ("num", "den", "nrows", "ncols", "_rows", "_hash")
+    __slots__ = ("num", "den", "nrows", "ncols", "_rows")
+    _key = ("ncols", "den", "num")
 
     def __init__(self, rows, ncols=None):
         rows = tuple(tuple(_norm(x) for x in row) for row in rows)
@@ -187,7 +188,7 @@ class Mat(_Immutable):
             ncols = width
         else:
             ncols = 0 if ncols is None else ncols
-        self._fill(*_split(rows), len(rows), ncols, rows, None)
+        self._fill(*_split(rows), len(rows), ncols, rows)
 
     @classmethod
     def _trusted(cls, num, ncols, den=1):
@@ -199,7 +200,6 @@ class Mat(_Immutable):
         object.__setattr__(self, "nrows", len(num))
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "_rows", None)
-        object.__setattr__(self, "_hash", None)
         return self
 
     # -- constructors ------------------------------------------------------
@@ -274,19 +274,6 @@ class Mat(_Immutable):
         )
 
     # -- arithmetic --------------------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Mat)
-            and self.ncols == other.ncols
-            and self.den == other.den
-            and self.num == other.num
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.num, self.den, self.ncols)))
-        return self._hash
 
     def __neg__(self):
         return Mat._trusted(tuple(tuple(-x for x in row) for row in self.num), self.ncols, self.den)

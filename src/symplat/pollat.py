@@ -36,6 +36,7 @@ class PolarizationType(_Immutable):
     """The elementary-divisor chain (d1 | d2 | ... | dn) of a polarization."""
 
     __slots__ = ("chain",)
+    _key = ("chain",)
 
     def __init__(self, chain):
         chain = tuple(int(d) for d in chain)
@@ -51,13 +52,6 @@ class PolarizationType(_Immutable):
 
     def __len__(self):
         return len(self.chain)
-
-    def __eq__(self, other):
-        other_chain = other.chain if isinstance(other, PolarizationType) else tuple(other)
-        return self.chain == other_chain
-
-    def __hash__(self):
-        return hash(self.chain)
 
     @property
     def is_principal(self):
@@ -84,6 +78,7 @@ class PolarizedLattice(_Immutable):
     """
 
     __slots__ = ("lattice", "form", "_gram", "_type")
+    _key = ("lattice", "form")
 
     def __init__(self, lattice, form, _not_integral=None):
         if form.nrows != lattice.ambient_dim or not form.is_square():
@@ -121,16 +116,6 @@ class PolarizedLattice(_Immutable):
 
     def gram(self):
         return self._gram
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolarizedLattice)
-            and self.lattice == other.lattice
-            and self.form == other.form
-        )
-
-    def __hash__(self):
-        return hash((self.lattice, self.form))
 
     def __repr__(self):
         return f"PolarizedLattice(dim={self.dim}, type={polarization_type(self).chain})"
@@ -227,6 +212,7 @@ class LatticeMap(_Immutable):
     """
 
     __slots__ = ("matrix", "source", "target")
+    _key = ("matrix", "source", "target")
 
     def __init__(self, matrix, source, target):
         if matrix.ncols != source.ambient_dim or matrix.nrows != target.ambient_dim:
@@ -239,17 +225,6 @@ class LatticeMap(_Immutable):
         if not coords.is_integral():
             raise DomainError("map does not carry the source lattice into the target")
         self._fill(matrix, source, target)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LatticeMap)
-            and self.matrix == other.matrix
-            and self.source == other.source
-            and self.target == other.target
-        )
-
-    def __hash__(self):
-        return hash((self.matrix, self.source, self.target))
 
     def __repr__(self):
         return f"LatticeMap({self.source.ambient_dim}->{self.target.ambient_dim})"
@@ -268,12 +243,12 @@ def adjoint_map(f, P_src, P_dst):
         raise DomainError("map target disagrees with the target polarized lattice")
     Bs, Bd = P_src.lattice.basis, P_dst.lattice.basis
     gram_s = P_src.gram()
-    X = gram_s.inverse().T * (Bd.T * P_dst.form * f.matrix * Bs).T
+    rhs = Bd.T * P_dst.form * (f.matrix * Bs)
+    X = gram_s.inverse().T * rhs.T
     pinv_d = (Bd.T * Bd).inverse() * Bd.T
     ft = Bs * X * pinv_d
     # certify the defining identity on the span bases
     lhs = (ft * Bd).T * P_src.form * Bs
-    rhs = Bd.T * P_dst.form * (f.matrix * Bs)
     certify("adjoint characterization", {"adjoint-defining": lhs == rhs})
     try:
         return LatticeMap(ft, P_dst.lattice, P_src.lattice)

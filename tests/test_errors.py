@@ -2,7 +2,8 @@
 
 Every value class refuses assignment and deletion through one guard,
 ``errors._Immutable``, which also makes a value its own copy and lets a
-pickle restore it.
+pickle restore it.  The same base gives the one equality and hash rule to
+each class that names its value slots in ``_key``.
 """
 
 import ast
@@ -111,6 +112,105 @@ def force_j_integrality(monkeypatch):
     return lambda: comppair.j_endomorphism(pair, 2)
 
 
+def _product_doubled(monkeypatch, left, right):
+    """Make ``Mat.__mul__`` double the product left * right, both matched by value."""
+    real = Mat.__mul__
+    monkeypatch.setattr(
+        Mat, "__mul__", lambda a, b: real(real(a, b), 2) if (a, b) == (left, right) else real(a, b)
+    )
+
+
+def _zero_is_identity(monkeypatch):
+    """Make ``Mat.zero``, which only the (j-1)(j+m-1) checks read, return the identity."""
+    monkeypatch.setattr(Mat, "zero", staticmethod(lambda nrows, ncols: Mat.identity(nrows)))
+
+
+def force_prym_tjurin(monkeypatch):
+    pair = complement(*_prym_setup())
+    _zero_is_identity(monkeypatch)
+    return lambda: comppair.j_endomorphism(pair, 2)
+
+
+def _kernel_emptied(monkeypatch, side):
+    """Make ``comppair.kernel_lattice`` return the zero lattice in place of ``side`` of a pair."""
+    pair = complement(*_prym_setup())
+    real, kept = comppair.kernel_lattice, getattr(pair, side)
+    empty = Lattice.from_generators(pair.ambient.ambient_dim, [])
+    monkeypatch.setattr(
+        comppair, "kernel_lattice",
+        lambda conditions, lam: empty if (found := real(conditions, lam)) == kept else found,
+    )
+    return lambda: comppair.j_endomorphism(pair, 2)
+
+
+def force_ker_one_minus_j(monkeypatch):
+    return _kernel_emptied(monkeypatch, "sub_A")
+
+
+def force_ker_j_plus_m_minus_one(monkeypatch):
+    return _kernel_emptied(monkeypatch, "sub_B")
+
+
+def force_pr_b_self_adjoint(monkeypatch):
+    twin = comppair.j_endomorphism(complement(*_prym_setup()), 2).matrix
+    pair = complement(*_prym_setup())
+    _product_doubled(monkeypatch, pair.ambient.form, Mat.identity(twin.nrows) - twin)  # E*(1-j)
+    return lambda: comppair.j_endomorphism(pair, 2)
+
+
+def _welters_setup():
+    """A pair at m = 2, a K of its ker mu_B and one honest run, which keeps j and the orders."""
+    pair = complement(*_prym_setup())
+    K = comppair.enumerate_mti(*comppair.ker_mu_of_pair(pair, 2))[0]
+    return pair, K, comppair.welters_construct(pair, K, 2)
+
+
+def force_pr_b_of_lambda(monkeypatch):
+    pair, K, _ = _welters_setup()
+    # the one Lattice that welters_construct builds, pr_B(Λ), now doubled
+    monkeypatch.setattr(comppair, "Lattice", lambda n, basis: Lattice(n, basis * 2))
+    return lambda: comppair.welters_construct(pair, K, 2)
+
+
+def force_x_principal(monkeypatch):
+    pair, K, _ = _welters_setup()
+    monkeypatch.setattr(comppair, "polarization_type", lambda P: PolarizationType((1, 2)))
+    return lambda: comppair.welters_construct(pair, K, 2)
+
+
+def force_u_after_u_t(monkeypatch):
+    pair, K, out = _welters_setup()
+    _product_doubled(monkeypatch, out.u.matrix, out.u_t.matrix)
+    return lambda: comppair.welters_construct(pair, K, 2)
+
+
+def force_u_t_after_u(monkeypatch):
+    pair, K, out = _welters_setup()
+    _product_doubled(monkeypatch, out.u_t.matrix, out.u.matrix)
+    return lambda: comppair.welters_construct(pair, K, 2)
+
+
+def force_welters_prym_tjurin(monkeypatch):
+    pair, K, _ = _welters_setup()
+    _zero_is_identity(monkeypatch)  # j is kept, so its own check does not run again
+    return lambda: comppair.welters_construct(pair, K, 2)
+
+
+def force_welters_pair_orders(monkeypatch):
+    pair, K, _ = _welters_setup()
+    orders = {"A∩B": 1, "ker λ_A": 4, "ker λ_B": 4}
+    monkeypatch.setattr(comppair, "_pair_orders", lambda pair: orders)
+    return lambda: comppair.welters_construct(pair, K, 2)
+
+
+def force_prym_norm_kernel(monkeypatch):
+    cov = covers.standard_cover(2, 2)
+    real = covers.prym_sublattice
+    # the transfer image in place of the norm kernel
+    monkeypatch.setattr(covers, "prym_sublattice", lambda cov: (real(cov)[1],) * 2)
+    return cov.pair
+
+
 def force_surface_ribbon(monkeypatch):
     monkeypatch.setattr(covers.RibbonGraph, "genus", lambda self: 0)
     return lambda: covers.surface_ribbon(1)
@@ -204,6 +304,40 @@ def _doubled_power_and_sum(monkeypatch, k):
 
     monkeypatch.setattr(covers, "_power_and_sum", doubled)
     return lambda: covers.cyclic_cover(covers.surface_ribbon(2), [1, 0, 0, 0], 2)
+
+
+def _double_cover_twin():
+    """An honest double cover of genus 2, and the call that builds it again."""
+    def build():
+        return covers.cyclic_cover(covers.surface_ribbon(2), [1, 0, 0, 0], 2)
+    return build(), build
+
+
+def force_sigma_symplectic(monkeypatch):
+    twin, build = _double_cover_twin()
+    _product_doubled(monkeypatch, twin.sigma.matrix.T, twin.total.form)
+    return build
+
+
+def force_sigma_nontrivial(monkeypatch):
+    twin, build = _double_cover_twin()
+    sigma, one = twin.sigma.matrix, Mat.identity(twin.sigma.matrix.nrows)
+    real = Mat.__eq__
+    # sigma, and only sigma, compares equal to the identity
+    monkeypatch.setattr(Mat, "__eq__", lambda a, b: real(a, b) or (real(a, sigma) and real(b, one)))
+    return build
+
+
+def force_pushforward_transfer_m(monkeypatch):
+    twin, build = _double_cover_twin()
+    _product_doubled(monkeypatch, twin.pushforward.matrix, twin.transfer.matrix)
+    return build
+
+
+def force_transfer_multiplies_form(monkeypatch):
+    twin, build = _double_cover_twin()
+    _product_doubled(monkeypatch, twin.transfer.matrix.T, twin.total.form)
+    return build
 
 
 def force_sigma_order_m(monkeypatch):
@@ -361,6 +495,17 @@ FORCED = [
     ("complement-rank", force_complement_rank),
     ("pair-order-identity", force_pair_order_identity),
     ("j-integrality", force_j_integrality),
+    ("prym-tjurin", force_prym_tjurin),
+    ("ker(1-j)=A", force_ker_one_minus_j),
+    ("ker(j+m-1)=B", force_ker_j_plus_m_minus_one),
+    ("pr_B-self-adjoint", force_pr_b_self_adjoint),
+    ("pr_B(Λ) = Λ_B^†", force_pr_b_of_lambda),
+    ("X principal", force_x_principal),
+    ("u∘u_t = [m]", force_u_after_u_t),
+    ("u_t∘u = 1 - j", force_u_t_after_u),
+    ("(j-1)(j+m-1) = 0", force_welters_prym_tjurin),
+    ("|A∩B| = |ker λ_A| = |ker λ_B|", force_welters_pair_orders),
+    ("prym-norm-kernel", force_prym_norm_kernel),
     ("surface-ribbon", force_surface_ribbon),
     ("tree-contract", force_tree_loop),
     ("tree-contract", force_tree_vertices),
@@ -372,6 +517,10 @@ FORCED = [
     ("h1-principal", force_h1_principal),
     ("chain-cycle", force_chain_cycle),
     ("cover-genus", force_cover_genus),
+    ("sigma-symplectic", force_sigma_symplectic),
+    ("sigma-nontrivial", force_sigma_nontrivial),
+    ("pushforward-transfer-m", force_pushforward_transfer_m),
+    ("transfer-multiplies-form", force_transfer_multiplies_form),
     ("sigma-order-m", force_sigma_order_m),
     ("transfer-pushforward-sum-sigma", force_transfer_pushforward_sum_sigma),
     ("component-group-order", force_component_group_order),
@@ -430,6 +579,51 @@ def test_certification_errors_are_raised_by_certify_only():
         for site in _certification_raises(ast.parse(path.read_text()))
     }
     assert found == allowed, sorted(found ^ allowed)
+
+
+def _dict_keys(checks, body):
+    """The keys of ``checks``: a dict display, or a name that ``body`` binds to one and fills."""
+    if isinstance(checks, ast.Dict):
+        return checks.keys
+    keys = []
+    for node in body:
+        for target in node.targets if isinstance(node, ast.Assign) else ():
+            if ast.unparse(target) == checks.id:
+                keys += node.value.keys
+            elif isinstance(target, ast.Subscript) and ast.unparse(target.value) == checks.id:
+                keys.append(target.slice)
+    return keys
+
+
+def _certified_names(paths):
+    """Every identity name that a ``certify(what, checks)`` call in ``paths`` can hold.
+
+    A key of ``checks`` is a string, or a parameter of the calling function,
+    which holds the strings that calls of that function pass for it.
+    """
+    nodes = [node for path in paths for node in ast.walk(ast.parse(path.read_text()))]
+    calls = [node for node in nodes if isinstance(node, ast.Call)]
+    names = set()
+    for fn in (node for node in nodes if isinstance(node, ast.FunctionDef)):
+        body = list(ast.walk(fn))
+        params = [arg.arg for arg in fn.args.args]
+        for call in body:
+            if not (isinstance(call, ast.Call) and ast.unparse(call.func) == "certify"):
+                continue
+            for key in _dict_keys(call.args[1], body):
+                if isinstance(key, ast.Constant):
+                    names.add(key.value)
+                else:
+                    i = params.index(key.id)
+                    names |= {c.args[i].value for c in calls if ast.unparse(c.func) == fn.name}
+    return names
+
+
+def test_every_certified_name_is_forced():
+    # a check cannot land without a FORCED row that makes it fail alone
+    certified = _certified_names(sorted(SRC.glob("*.py")))
+    forced = {name for name, _ in FORCED}
+    assert certified == forced, sorted(certified ^ forced)
 
 
 def test_object_setattr_writes_only_into_self():
@@ -529,3 +723,55 @@ def test_one_immutability_guard():
         ("errors.py", "_Immutable", "__setattr__"),
     ]
     assert slotted == {name: ["_Immutable"] for name in VALUES}
+
+
+# The slots that make up the value of each class that compares by value.
+KEYS = {
+    "Mat": ("ncols", "den", "num"),
+    "Lattice": ("ambient_dim", "basis"),
+    "FiniteQuotient": ("lower", "upper"),
+    "QuotientElement": ("parent", "rep"),
+    "PolarizationType": ("chain",),
+    "PolarizedLattice": ("lattice", "form"),
+    "LatticeMap": ("matrix", "source", "target"),
+}
+
+
+def test_one_value_rule():
+    # __eq__ and __hash__ are written nowhere: errors._Immutable gives them to
+    # each class that names its value slots in _key, and to no other; no hash
+    # is kept in a slot
+    written, keyed, slots = [], {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names = [item.name]
+                elif isinstance(item, ast.Assign):
+                    names = [ast.unparse(target) for target in item.targets]
+                else:
+                    continue
+                written += [(path.name, node.name, name) for name in names if name in ("__eq__", "__hash__")]
+                if names == ["_key"]:
+                    keyed[node.name] = ast.literal_eval(item.value)
+                if names == ["__slots__"]:
+                    slots |= set(ast.literal_eval(item.value))
+    assert written == []
+    assert keyed == KEYS
+    assert "_hash" not in slots
+    for name in VALUES:
+        by_value = type(VALUES[name]()).__eq__ is not object.__eq__
+        assert by_value == (name in KEYS), name
+
+
+@pytest.mark.parametrize("name", KEYS)
+def test_values_compare_with_anything_and_hash_by_value(name):
+    value, twin = VALUES[name](), VALUES[name]()
+    assert value is not twin
+    assert value == twin and not value != twin and hash(value) == hash(twin)
+    other = VALUES["Lattice" if name != "Lattice" else "Mat"]()
+    for x in (None, 5, other):
+        assert not value == x and value != x
+        assert not x == value and x != value
