@@ -15,7 +15,6 @@ certification failure, 2 enumeration budget exceeded, 3 input validation.
 import argparse
 import json
 import sys
-from functools import cache
 from reprlib import repr as short_repr
 
 from .comppair import ker_mu_of_pair, welters_construct
@@ -93,15 +92,6 @@ def build_parser():
         p.add_argument("--out", default=None, help="also write the payload to this file")
         p.add_argument("--format", choices=("json", "text"), default="json")
     return parser
-
-
-@cache
-def _parser():
-    """The one parser that every run shares: parse_args keeps no state between calls.
-
-    It is built on the first run, not at import, so an import builds none.
-    """
-    return build_parser()
 
 
 def cmd_quotient(g, m, mode="all", budget=DEFAULT_BUDGET):
@@ -261,8 +251,9 @@ def _render_text(payload):
 
 def run(argv=None):
     """Parse arguments, run the command, return (exit_code, output_text)."""
+    parser = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
         if args.command == "quotient":
             payload = cmd_quotient(args.g, args.m, args.mode, args.budget)
         elif args.command == "cover":

@@ -458,31 +458,6 @@ def test_every_benchmark_golden_digest_matches(tmp_path):
     assert kinds == {"cover": 7, "quotient": 6, "welters": 17}
 
 
-def test_run_builds_no_parser_after_the_first(monkeypatch):
-    # the parser is built on the first run and shared by every later one
-    run(["quotient", "--g", "1", "--m", "1"])
-    builds = _record_calls(monkeypatch, cli, "build_parser")
-    assert payload(["quotient", "--g", "1", "--m", "2"])["count"] == 3
-    assert run(["quotient", "--g", "1"])[0] == EXIT_VALIDATION
-    assert builds == []
-
-
-@pytest.mark.parametrize("refused", [
-    ["quotient", "--g", "2", "--m", "three"],
-    ["quotient", "--g", "2", "--m", "3", "--mode", "some"],
-    ["cover", "--g", "2"],
-    ["census"],
-    [],
-])
-def test_a_refused_argv_leaves_the_shared_parser_as_it_was(refused):
-    name = "quotient --g 2 --m 3 --mode one"
-    code, text = run(refused)
-    assert code == EXIT_VALIDATION and text.startswith("invalid input: "), text
-    code, text = run(name.split())
-    assert code == EXIT_OK, text
-    assert hashlib.sha256(text.encode()).hexdigest() == json.loads(GOLDEN.read_text())[name]
-
-
 def test_cover_edge_guard_admits_its_bound():
     # (2, 64) has 4 * 64 = 256 edges, exactly MAX_COVER_EDGES
     code, text = run(["cover", "--g", "2", "--m", "64"])

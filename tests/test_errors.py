@@ -581,17 +581,34 @@ def test_certification_errors_are_raised_by_certify_only():
     assert found == allowed, sorted(found ^ allowed)
 
 
-def _dict_keys(checks, body):
-    """The keys of ``checks``: a dict display, or a name that ``body`` binds to one and fills."""
-    if isinstance(checks, ast.Dict):
+def _unreadable(path, node, what):
+    pytest.fail(f"{path.name}:{node.lineno}: cannot read {what}: {ast.unparse(node)}")
+
+
+def _dict_keys(path, checks, body):
+    """The keys of ``checks``: a dict display, or a name that ``body`` binds to one and fills.
+
+    The name may be bound once by ``name = {...}`` and filled by ``name[key] = ...``;
+    any other form, or any other use of the name in ``body``, fails the test.
+    """
+    if isinstance(checks, ast.Dict) and None not in checks.keys:
         return checks.keys
-    keys = []
+    if not isinstance(checks, ast.Name):
+        _unreadable(path, checks, "the checks of certify")
+    keys, seen = [], {checks}
     for node in body:
         for target in node.targets if isinstance(node, ast.Assign) else ():
-            if ast.unparse(target) == checks.id:
+            if (isinstance(target, ast.Name) and target.id == checks.id
+                    and isinstance(node.value, ast.Dict) and None not in node.value.keys):
                 keys += node.value.keys
-            elif isinstance(target, ast.Subscript) and ast.unparse(target.value) == checks.id:
+                seen.add(target)
+            elif (isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name)
+                    and target.value.id == checks.id):
                 keys.append(target.slice)
+                seen.add(target.value)
+    for node in body:
+        if isinstance(node, ast.Name) and node.id == checks.id and node not in seen:
+            _unreadable(path, node, f"this use of {checks.id}")
     return keys
 
 
@@ -599,23 +616,41 @@ def _certified_names(paths):
     """Every identity name that a ``certify(what, checks)`` call in ``paths`` can hold.
 
     A key of ``checks`` is a string, or a parameter of the calling function,
-    which holds the strings that calls of that function pass for it.
+    which holds the strings that calls of that function pass for it.  A call,
+    dict or key of any other form fails the test at its file and line.
     """
-    nodes = [node for path in paths for node in ast.walk(ast.parse(path.read_text()))]
-    calls = [node for node in nodes if isinstance(node, ast.Call)]
+    trees = [(path, ast.parse(path.read_text())) for path in paths]
+    nodes = [(path, node) for path, tree in trees for node in ast.walk(tree)]
+    calls = [(path, node) for path, node in nodes if isinstance(node, ast.Call)]
+    certifies = {node for _, node in calls if ast.unparse(node.func) == "certify"}
     names = set()
-    for fn in (node for node in nodes if isinstance(node, ast.FunctionDef)):
+    for path, fn in nodes:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
         body = list(ast.walk(fn))
         params = [arg.arg for arg in fn.args.args]
-        for call in body:
-            if not (isinstance(call, ast.Call) and ast.unparse(call.func) == "certify"):
-                continue
-            for key in _dict_keys(call.args[1], body):
-                if isinstance(key, ast.Constant):
+        for call in certifies.intersection(body):
+            certifies.discard(call)
+            if len(call.args) != 2 or call.keywords:
+                _unreadable(path, call, "the arguments of certify")
+            for key in _dict_keys(path, call.args[1], body):
+                if isinstance(key, ast.Constant) and isinstance(key.value, str):
                     names.add(key.value)
-                else:
-                    i = params.index(key.id)
-                    names |= {c.args[i].value for c in calls if ast.unparse(c.func) == fn.name}
+                    continue
+                if not (isinstance(key, ast.Name) and key.id in params):
+                    _unreadable(path, key, "the key")
+                i = params.index(key.id)
+                sites = [(p, c) for p, c in calls if ast.unparse(c.func) == fn.name]
+                if not sites:
+                    _unreadable(path, key, f"the key, as no call of {fn.name} passes it")
+                for site_path, site in sites:
+                    given = site.args[i:i + 1]
+                    if not (given and isinstance(given[0], ast.Constant) and isinstance(given[0].value, str)):
+                        _unreadable(site_path, site, f"the {key.id} this call passes")
+                    names.add(given[0].value)
+    for call in certifies:
+        path = next(path for path, node in calls if node is call)
+        _unreadable(path, call, "a certify call outside a function")
     return names
 
 
@@ -624,6 +659,45 @@ def test_every_certified_name_is_forced():
     certified = _certified_names(sorted(SRC.glob("*.py")))
     forced = {name for name, _ in FORCED}
     assert certified == forced, sorted(certified ^ forced)
+
+
+READABLE = """
+def f(x, failure):
+    certify("a", {"one": x})
+    checks = {"two": x}
+    checks["three"] = x
+    certify("b", checks)
+    certify("c", {failure: x})
+
+def g(x):
+    f(x, "four")
+"""
+
+
+@pytest.mark.parametrize("line, source", [
+    (3, "def f(x):\n    checks = {}\n    checks.update({'a': x})\n    certify('b', checks)\n"),
+    (2, "def f(x):\n    certify('b', dict(a=x))\n"),
+    (2, "def f(x):\n    certify('b', {k: x for k in 'ab'})\n"),
+    (2, "def f(x):\n    certify('b', {**x})\n"),
+    (2, "def f(x, i):\n    certify('b', {f'n{i}': x})\n"),
+    (2, "def f(x):\n    certify('b', checks={'a': x})\n"),
+    (4, "def f(x, name):\n    certify('b', {name: x})\n\nf(1, 'n' * 2)\n"),
+    (4, "def f(x, name):\n    certify('b', {name: x})\n\nf(1, name='n')\n"),
+    (2, "def f(x, name):\n    certify('b', {name: x})\n"),
+    (1, "certify('b', {'a': True})\n"),
+])
+def test_certified_names_refuse_a_form_they_cannot_read(tmp_path, line, source):
+    # a check added in a form the name test does not read fails it at its line
+    path = tmp_path / "unread.py"
+    path.write_text(source)
+    with pytest.raises(pytest.fail.Exception, match=f"^unread.py:{line}: cannot read "):
+        _certified_names([path])
+
+
+def test_certified_names_read_literal_filled_and_passed_keys(tmp_path):
+    path = tmp_path / "read.py"
+    path.write_text(READABLE)
+    assert _certified_names([path]) == {"one", "two", "three", "four"}
 
 
 def test_object_setattr_writes_only_into_self():
