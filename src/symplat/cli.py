@@ -61,11 +61,7 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-def build_parser():
-    parser = _Parser(prog="symplat", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    q = sub.add_parser("quotient", help="census of quotients by maximal isotropic torsion")
+def _quotient_arguments(q):
     q.add_argument("--g", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--mode", choices=("one", "all"), default="all")
@@ -75,22 +71,47 @@ def build_parser():
              "the subgroup search tries, exceeds this (default: %(default)s)",
     )
 
-    c = sub.add_parser("cover", help="build and certify the standard cyclic cover")
+
+def _cover_arguments(c):
     c.add_argument("--g", type=int, required=True)
     c.add_argument("--m", type=int, required=True)
 
-    w = sub.add_parser("welters", help="run the Welters construction on a cover fixture")
+
+def _welters_arguments(w):
     w.add_argument("fixture", help="path to a cover fixture JSON file")
     w.add_argument("--K", default="1:0", help="label a:b of the isotropic subgroup")
 
-    d = sub.add_parser("dims", help="dimension table for the moduli loci")
+
+def _dims_arguments(d):
     d.add_argument("--g", type=int, required=True)
     d.add_argument("--m", type=int, required=True)
     d.add_argument("--r", type=int, default=0)
 
-    for p in (q, c, w, d):
-        p.add_argument("--out", default=None, help="also write the payload to this file")
-        p.add_argument("--format", choices=("json", "text"), default="json")
+
+# each subcommand's help line and the function that adds its own arguments
+_SUBCOMMANDS = {
+    "quotient": ("census of quotients by maximal isotropic torsion", _quotient_arguments),
+    "cover": ("build and certify the standard cyclic cover", _cover_arguments),
+    "welters": ("run the Welters construction on a cover fixture", _welters_arguments),
+    "dims": ("dimension table for the moduli loci", _dims_arguments),
+}
+
+
+def build_parser(argv=()):
+    """The symplat parser; only the subcommand that argv[0] names, if it names one.
+
+    Any other argv[0] (none, an option such as -h, or a typo) gets all four
+    subcommands, so the help and "invalid choice" texts list them all.
+    """
+    parser = _Parser(prog="symplat", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+        if named in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.add_argument("--out", default=None, help="also write the payload to this file")
+            p.add_argument("--format", choices=("json", "text"), default="json")
     return parser
 
 
@@ -251,7 +272,9 @@ def _render_text(payload):
 
 def run(argv=None):
     """Parse arguments, run the command, return (exit_code, output_text)."""
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         if args.command == "quotient":

@@ -13,6 +13,7 @@ coordinates.
 from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm, prod
+from operator import mul
 
 from .errors import BudgetError, DomainError, _Immutable
 from .lattice import Lattice, _inclusion, congruence_kernel
@@ -256,10 +257,13 @@ def _enumerate(Q, budget, p=None, limit=None):
     basis, for one lower-triangular Hermite matrix H: h_j | d_j on the
     diagonal and H[r][j] in [0, h_r) below it.  Columns are placed from the
     last to the first.  Columns j..k-1 span H Z^k ∩ <e_j, ..., e_{k-1}>, so a
-    placement is tested at once: d_j e_j must lie in their span (forward
-    substitution) and, given p, the new column must pair integrally with the
-    placed ones and prod(h) must stay able to reach its m.t.i. value (see
-    ``enumerate_mti``).  The order of a subgroup is prod(d) / prod(h).  Where
+    placement is tested at once.  Given p, prod(h) must stay able to reach its
+    m.t.i. value (see ``enumerate_mti``), checked once per h_j, and then, per
+    placement, the new column must pair integrally with the placed ones
+    (isotropy, one congruence mod den each).  Last, d_j e_j must lie in the
+    span of columns j..k-1 (containment, forward substitution over the placed
+    columns).  Each placement counts once toward the budget, before either
+    test.  The order of a subgroup is prod(d) / prod(h).  Where
     Wsub = c I with c > 0, a survivor is kept as (order, H) in ints: its
     canonical basis is c H, so that key sorts as the built quotient does, and
     only the first ``limit`` are built.  Otherwise each survivor is built and
@@ -301,35 +305,42 @@ def _enumerate(Q, budget, p=None, limit=None):
             gens = (Wsub * Mat(H, ncols=k)).columns() + trivial_cols
             out.append(FiniteQuotient(Q.lower, Lattice.from_generators(Q.lower.ambient_dim, gens)))
             return
+        # fixed while column j is placed: the ranges of the entries below h,
+        # the placed columns of G H and the rows of G, all from row j on
+        ranges = [range(H[r][r]) for r in range(j + 1, k)]
+        if p is not None:
+            GH_tails = [GH[i][j:] for i in range(j + 1, k)]
+            G_tails = [row[j:] for row in G]
         for h in _divisors(d[j]):
             if p is not None:
                 # columns 0..j-1 must bring prod(h) up to goal: h_i | d_i for each
                 rest, rem = divmod(goal, placed * h)
                 if rem or head[j] % rest:
                     continue
-            for below in product(*(range(H[r][r]) for r in range(j + 1, k))):
+            q = d[j] // h
+            for below in product(*ranges):
                 tried += 1
                 if tried > budget:
                     raise BudgetError(f"more than {budget} candidate subgroups")
-                col = (0,) * j + (h,) + below
-                # d_j e_j - (d_j / h) col must be an integer combination of
-                # the placed columns: eliminate it row by row
-                v = [-(d[j] // h) * x for x in col]
-                for r in range(j + 1, k):
-                    if v[r] % H[r][r]:
+                tail = (h,) + below  # column j of H from row j on
+                # the entries (j, i) of H^T G H, over the placed columns i
+                if p is not None and any(sum(map(mul, tail, gh)) % den for gh in GH_tails):
+                    continue
+                # d_j e_j - q tail must be an integer combination of the placed
+                # columns; it is -q below under row j: eliminate it row by row
+                v = [-q * x for x in below]
+                for t, r in enumerate(range(j + 1, k)):
+                    c, rem = divmod(v[t], H[r][r])
+                    if rem:
                         break
-                    c = v[r] // H[r][r]
-                    for s in range(r + 1, k):
-                        v[s] -= c * H[s][r]
+                    if c:
+                        for s in range(t + 1, k - j - 1):
+                            v[s] -= c * H[j + 1 + s][r]
                 else:
                     if p is not None:
-                        # the entries (j, i) of H^T G H, over the placed columns i
-                        if any(sum(col[a] * GH[i][a] for a in range(j, k)) % den
-                               for i in range(j + 1, k)):
-                            continue
-                        GH[j] = [sum(G[a][b] * col[b] for b in range(j, k)) for a in range(k)]
-                    for r in range(j, k):
-                        H[r][j] = col[r]
+                        GH[j] = [sum(map(mul, g, tail)) for g in G_tails]
+                    for r, x in enumerate(tail, j):
+                        H[r][j] = x
                     place(j - 1, placed * h)
 
     place(k - 1, 1)

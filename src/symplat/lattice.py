@@ -9,16 +9,16 @@ equality of their basis matrices.
 The operations here -- saturation, kernels, indices, sums, preimages -- are
 the exact-arithmetic substrate for all polarization and isogeny computations.
 Every kernel comes from the column reduction ``integer_kernel``, which
-takes rational matrices as they are; only ``preimage_lattice``, a preimage
-over Q, takes a Smith form.  An index is the product of a diagonal, read off
-one solve (``_inclusion``).
+takes rational matrices as they are, and no operation takes a Smith form:
+``preimage_lattice`` inverts the Hermite basis of a dual lattice.  An index
+is the product of a diagonal, read off one solve (``_inclusion``).
 """
 
 from fractions import Fraction
 from math import prod
 
 from .errors import DomainError, _Immutable
-from .matrix import Mat, hermite_column_form, integer_kernel, smith_normal_form
+from .matrix import Mat, hermite_column_form, integer_kernel
 
 __all__ = [
     "Lattice",
@@ -183,15 +183,13 @@ def congruence_kernel(A, d):
 def preimage_lattice(M, target):
     """The lattice {x : M x in target} for an injective rational matrix M.
 
-    The columns of M must land in the span of ``target``.
+    The columns of M must land in the span of ``target``.  With W the
+    target-basis coordinates of M, the preimage is {x : W x in Z^r}, the dual
+    of the lattice that W's rows span: R^-T Z^n for R the Hermite basis of
+    that row lattice, which is n x n exactly when M is injective.
     """
     W = target.coords_matrix(M)  # target-basis coordinates of M's columns
-    d = W.den
-    _, D, V = smith_normal_form(W * d)
-    scale = []
-    for i in range(M.ncols):
-        di = D.rows[i][i] if i < D.nrows else 0
-        if di == 0:
-            raise DomainError("preimage_lattice requires an injective matrix")
-        scale.append(Fraction(d, di))
-    return Lattice(M.ncols, V * Mat.diagonal(scale))
+    R = hermite_column_form(W.T)
+    if R.ncols < M.ncols:
+        raise DomainError("preimage_lattice requires an injective matrix")
+    return Lattice(M.ncols, R.inverse().T)

@@ -174,6 +174,25 @@ def congruence_kernel_by_smith(A, d):
     return V * Mat.diagonal(scale)
 
 
+def preimage_by_smith(M, target):
+    """{x : M x in target} as ``preimage_lattice`` built it before, from a Smith form.
+
+    With W the target-basis coordinates of M over its denominator d and
+    U (d W) V = D: x = V y lies in the preimage iff d_i y_i / d is an integer
+    for each i, so V diag(d / d_i) is a basis; a zero d_i means M is not injective.
+    """
+    W = target.coords_matrix(M)
+    d = W.den
+    _, D, V = smith_normal_form(W * d)
+    scale = []
+    for i in range(M.ncols):
+        di = D.rows[i][i] if i < D.nrows else 0
+        if di == 0:
+            raise DomainError("preimage_lattice requires an injective matrix")
+        scale.append(Fraction(d, di))
+    return Lattice(M.ncols, V * Mat.diagonal(scale))
+
+
 def saturate_by_rational_kernel(vectors, L):
     """L ∩ span(vectors), with the annihilator of the span from sympy's ``nullspace``."""
     n = L.ambient_dim

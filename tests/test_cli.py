@@ -31,6 +31,7 @@ from symplat.covers import (
     ker_mu_basis,
     standard_cover,
 )
+from symplat.errors import DomainError
 from symplat.finquot import FiniteQuotient
 from symplat.jsonio import SCHEMA, cover_to_obj, dumps_canonical
 from symplat.lattice import Lattice
@@ -435,6 +436,16 @@ def test_large_cover_stdout_is_pinned(g, m):
     assert hashlib.sha256(text.encode()).hexdigest() == LARGE_COVER_DIGESTS[g, m]
 
 
+def test_g3_m4_census_one_stdout_is_pinned():
+    # the (3,4) search tries 291,646 placements, past the default budget
+    argv = ["quotient", "--g", "3", "--m", "4", "--budget", "10000000", "--mode", "one"]
+    code, text = run(argv)
+    assert code == EXIT_OK, text
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "71c9fe89873e9ef8765594dc4cc1f4e0777168bda08ee074a134af64655744dd"
+    )
+
+
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
@@ -674,6 +685,57 @@ def test_argument_errors_are_validation():
     assert code == EXIT_VALIDATION
     code, _ = run(["nonsense"])
     assert code == EXIT_VALIDATION
+
+
+def _full_parser(monkeypatch):
+    """Make ``run`` build all four subcommands whatever argv[0] names."""
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv: build(()))
+
+
+@pytest.mark.parametrize("argv", [
+    ["quotient", "--g", "1", "--m", "2", "--mode", "one"],
+    ["cover", "--g", "1", "--m", "2"],
+    ["welters", "FIXTURE", "--K", "1:1"],
+    ["dims", "--g", "3", "--m", "2", "--format", "text"],
+    ["quotient", "--m", "2"],  # a missing required flag
+    ["cover", "--g", "x", "--m", "2"],  # a bad int
+    ["quotient", "--g", "1", "--m", "2", "--mode", "some"],  # a bad choice
+    ["dims", "--g", "3", "--m", "2", "--s", "1"],  # an unknown option
+    [],
+    ["quotinet", "--g", "1", "--m", "2"],  # an unknown command
+])
+def test_one_subcommand_parser_answers_as_the_full_parser(monkeypatch, tmp_path, fixture22, argv):
+    path = tmp_path / "fixture.json"
+    path.write_text(dumps_canonical(fixture22))
+    argv = [str(path) if a == "FIXTURE" else a for a in argv]
+    reduced = run(argv)
+    _full_parser(monkeypatch)
+    assert run(argv) == reduced
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["quotient", "-h"], ["welters", "--help"]])
+def test_help_matches_the_full_parser(monkeypatch, capsys, argv):
+    helps = []
+    for full in (False, True):
+        if full:
+            _full_parser(monkeypatch)
+        with pytest.raises(SystemExit) as stop:
+            run(argv)
+        helps.append((stop.value.code, capsys.readouterr()))
+    assert helps[0] == helps[1]
+
+
+def test_parser_builds_only_the_named_subcommand():
+    parser = cli.build_parser(["quotient", "--g", "1"])
+    with pytest.raises(DomainError, match=r"invalid choice: 'cover' \(choose from 'quotient'\)"):
+        parser.parse_args(["cover", "--g", "1", "--m", "2"])
+
+
+def test_run_without_argv_reads_the_command_line(monkeypatch):
+    argv = ["dims", "--g", "3", "--m", "2"]
+    monkeypatch.setattr(sys, "argv", ["symplat"] + argv)
+    assert run() == run(argv)
 
 
 @pytest.mark.parametrize(

@@ -200,6 +200,16 @@ def test_budget_bounds_candidates_visited():
         enumerate_mti(Q, p, budget=58)
 
 
+@pytest.mark.parametrize("g, m, tried, kept", [(2, 3, 173, 40), (3, 2, 1061, 135)])
+def test_budget_counts_every_placement_whichever_test_rejects_it(g, m, tried, kept):
+    # one count per placement, before the isotropy and containment tests, so
+    # the order of those tests cannot move the threshold
+    Q, p = torsion_subgroup(standard_principal(g), m)
+    assert len(enumerate_mti(Q, p, budget=tried)) == kept
+    with pytest.raises(BudgetError, match=f"^more than {tried - 1} candidate subgroups$"):
+        enumerate_mti(Q, p, budget=tried - 1)
+
+
 @pytest.mark.parametrize("g, m", [(1, 2), (1, 3), (2, 2), (1, 4), (2, 3)])
 def test_mti_against_brute_force(g, m):
     P = standard_principal(g)

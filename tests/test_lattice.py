@@ -28,6 +28,7 @@ from symplat.matrix import Mat
 from conftest import (
     canonical_basis_oracle,
     congruence_kernel_by_smith,
+    preimage_by_smith,
     same_span_by_rank,
     saturate_by_rational_kernel,
 )
@@ -172,7 +173,7 @@ def test_preimage_lattice():
     assert P == Lattice.from_generators(
         2, [(Fraction(1, 2), 0), (0, Fraction(1, 3))]
     )
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^preimage_lattice requires an injective matrix$"):
         preimage_lattice(Mat([[1, 1]]).T * Mat([[1, 1]]), Z2)  # rank 1, not injective
 
 
@@ -253,6 +254,31 @@ def test_saturate_against_rational_kernel_oracle(case):
     assert L.contains_lattice(S) and S.rank == Mat.from_columns(
         vectors, nrows=L.ambient_dim
     ).rank()
+
+
+@st.composite
+def maps_into_lattices(draw):
+    """(M, target): M = target.basis * C for a drawn rational C of up to
+    rank + 1 columns, so M lands in target's span and is often not injective."""
+    M = draw(generator_matrices())
+    target = Lattice(M.nrows, M)
+    k = draw(st.integers(0, target.rank + 1))
+    C = Mat([[draw(_entries) for _ in range(k)] for _ in range(target.rank)], ncols=k)
+    return target.basis * C, target
+
+
+@settings(max_examples=150, deadline=None)
+@given(maps_into_lattices())
+def test_preimage_against_smith_oracle(case):
+    M, target = case
+    if M.rank() < M.ncols:
+        for preimage in (preimage_lattice, preimage_by_smith):
+            with pytest.raises(DomainError, match="^preimage_lattice requires an injective matrix$"):
+                preimage(M, target)
+        return
+    P = preimage_lattice(M, target)
+    assert P == preimage_by_smith(M, target)
+    assert target.contains_lattice(Lattice(M.nrows, M * P.basis))
 
 
 # -- lattice laws on drawn full-rank lattices, against sympy's Smith form ----
