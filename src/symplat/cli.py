@@ -289,7 +289,7 @@ def run(argv=None):
         if args.out:
             try:
                 with open(args.out, "w") as fh:
-                    fh.write(dumps_canonical(payload))
+                    fh.write(text if args.format == "json" else dumps_canonical(payload))
             except OSError as exc:
                 raise DomainError(f"cannot write output: {exc}")
         return EXIT_OK, text

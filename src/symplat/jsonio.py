@@ -2,12 +2,17 @@
 
 Schema "ppav-lattice/1": every matrix entry, rational or integer, is written
 as a decimal string ("17", "-3/4"), so round-trips are bit-exact across
-languages.  Dumps are canonical (sorted keys, fixed separators), which makes
-repeated runs byte-identical.
+languages.  The strings are read off a matrix's integer rows over its
+denominator, so no ``Fraction`` is built.  Dumps are canonical (sorted keys,
+two-space indent, fixed separators), which makes repeated runs
+byte-identical; a small recursive writer gives the bytes of ``json.dumps``
+with those settings and joins each flat list of strings at once.
 """
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 from reprlib import repr as short_repr
 
 from .covers import RibbonGraph, VoltageAssignment, cyclic_cover
@@ -20,7 +25,6 @@ SCHEMA = "ppav-lattice/1"
 
 __all__ = [
     "SCHEMA",
-    "frac_to_str",
     "frac_from_str",
     "mat_to_obj",
     "mat_from_obj",
@@ -35,11 +39,6 @@ __all__ = [
 ]
 
 
-def frac_to_str(x):
-    # an int or a Fraction already prints as "n" or "n/d"; a bool does not
-    return str(x) if type(x) is int or type(x) is Fraction else str(Fraction(x))
-
-
 def frac_from_str(s):
     try:
         if "/" in s:
@@ -50,8 +49,17 @@ def frac_from_str(s):
         raise DomainError(f"malformed exact number {short_repr(s)}")
 
 
+def _entry_rows(M):
+    """The rows of ``M`` as entry strings, each ``str(Fraction(x, M.den))`` for x in ``M.num``."""
+    d = M.den
+    if d == 1:
+        return [list(map(str, row)) for row in M.num]
+    return [[str(x // d) if (g := gcd(x, d)) == d else f"{x // g}/{d // g}" for x in row]
+            for row in M.num]
+
+
 def mat_to_obj(M):
-    return {"rows": [[frac_to_str(x) for x in row] for row in M.rows], "ncols": M.ncols}
+    return {"rows": _entry_rows(M), "ncols": M.ncols}
 
 
 def mat_from_obj(obj):
@@ -64,7 +72,7 @@ def mat_from_obj(obj):
 def lattice_to_obj(L):
     return {
         "ambient_dim": L.ambient_dim,
-        "basis": [[frac_to_str(x) for x in L.basis.col(j)] for j in range(L.rank)],
+        "basis": _entry_rows(L.basis.T),
     }
 
 
@@ -88,8 +96,8 @@ def lattice_from_obj(obj):
 def polarized_to_obj(P):
     return {
         "ambient_dim": P.ambient_dim,
-        "basis": lattice_to_obj(P.lattice)["basis"],
-        "form": [[frac_to_str(x) for x in row] for row in P.form.rows],
+        "basis": _entry_rows(P.lattice.basis.T),
+        "form": _entry_rows(P.form),
     }
 
 
@@ -190,5 +198,36 @@ def welters_report(out):
 
 
 def dumps_canonical(obj):
-    """Canonical JSON text: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    """Canonical JSON text: sorted keys, two-space indent, fixed separators, trailing newline.
+
+    The text is ``json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": "))``
+    plus a newline.  A dict key that is not a ``str`` raises ``TypeError``, as
+    does a leaf that json cannot serialize.
+    """
+    return _dump(obj, "\n") + "\n"
+
+
+def _dump(obj, nl):
+    """``obj`` as indented JSON whose nested lines start with ``nl``, a newline and an indent."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join(
+            _quote(k) + ": " + _dump(obj[k], inner) for k in sorted(obj)) + nl + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        if all(type(x) is str for x in obj):
+            items = map(_quote, obj)
+        else:
+            items = (_dump(x, inner) for x in obj)
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    return int.__repr__(obj) if type(obj) is int else json.dumps(obj)

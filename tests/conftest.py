@@ -5,6 +5,7 @@ via determinantal divisors, subgroup enumeration via closure BFS over group
 elements, and maximality of isotropic subgroups via exhaustive extension.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm, prod
@@ -96,6 +97,19 @@ def voltage_covers(draw, genera=st.integers(1, 3), degrees=st.integers(1, 5),
     if gcd(m, a_1, *volts[1:2 * g]) != 1:
         volts[0] = (volts[0] + 1 - a_1) % m  # a_1 now has loop voltage 1
     return R, volts, m
+
+
+# -- oracles: serialization through Fractions and the json module -----------
+
+def frac_to_str(x):
+    """The schema string of an exact number, through its ``Fraction``."""
+    # an int or a Fraction already prints as "n" or "n/d"; a bool does not
+    return str(x) if type(x) is int or type(x) is Fraction else str(Fraction(x))
+
+
+def json_canonical(obj):
+    """The canonical dump as the json module writes it, with a trailing newline."""
+    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
 
 
 # -- oracle: elimination on Fraction entries ---------------------------------

@@ -446,6 +446,22 @@ def test_g3_m4_census_one_stdout_is_pinned():
     )
 
 
+# sha256 of the stdout of the composite-m censuses (2,4) and (2,6) and of the
+# (3,3) census, the largest at prime m; the golden set has none of them
+CENSUS_DIGESTS = {
+    ("2", "4"): "89c10f2bb38f83f1ff7c94c120e9df7ba16cb37dcfd3444d00a6068e1cdf2490",
+    ("2", "6"): "3c6c70b6c784d46a500c00db71e2b3e14bd509ada224f8a07fcb945c128becbc",
+    ("3", "3"): "655cdcc39c4feec7f2bfacfc15a891da9f3eb43237d04b3e73d6d0abde2457cd",
+}
+
+
+@pytest.mark.parametrize("g, m", sorted(CENSUS_DIGESTS))
+def test_census_outside_the_golden_set_is_pinned(g, m):
+    code, text = run(["quotient", "--g", g, "--m", m, "--mode", "all"])
+    assert code == EXIT_OK, text
+    assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_DIGESTS[g, m]
+
+
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
@@ -757,6 +773,20 @@ def test_out_file_matches_stdout(tmp_path):
     code, text = run(["dims", "--g", "3", "--m", "2", "--out", str(out)])
     assert code == EXIT_OK
     assert out.read_text() == text
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_out_serializes_the_payload_once(tmp_path, monkeypatch, fmt):
+    calls = []
+    monkeypatch.setattr(cli, "dumps_canonical", lambda obj: calls.append(obj) or dumps_canonical(obj))
+    out = tmp_path / "report.json"
+    argv = ["quotient", "--g", "2", "--m", "2", "--mode", "all"]
+    code, text = run(argv + ["--format", fmt, "--out", str(out)])
+    assert code == EXIT_OK
+    assert len(calls) == 1
+    # the file holds the JSON report whichever format goes to stdout
+    assert out.read_text() == run(argv)[1] == dumps_canonical(calls[0])
+    assert (out.read_text() == text) == (fmt == "json")
 
 
 def test_text_format():

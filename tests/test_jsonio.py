@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symplat.errors import DomainError
@@ -14,7 +14,6 @@ from symplat.jsonio import (
     cover_to_obj,
     dumps_canonical,
     frac_from_str,
-    frac_to_str,
     lattice_from_obj,
     lattice_to_obj,
     mat_from_obj,
@@ -26,11 +25,18 @@ from symplat.lattice import Lattice
 from symplat.matrix import Mat
 from symplat.pollat import PolarizedLattice, standard_principal, symplectic_form
 
+from conftest import frac_to_str, json_canonical
+
+
+def entry(x):
+    """The string ``mat_to_obj`` writes for the one entry of the 1x1 matrix [x]."""
+    return mat_to_obj(Mat([[x]]))["rows"][0][0]
+
 
 def test_frac_round_trip():
     for x in [0, 1, -17, Fraction(3, 4), Fraction(-22, 7), Fraction(10**30, 7)]:
-        assert frac_from_str(frac_to_str(x)) == x
-    assert frac_to_str(Fraction(4, 2)) == "2"
+        assert frac_from_str(entry(x)) == x
+    assert entry(Fraction(4, 2)) == "2"
     with pytest.raises(DomainError):
         frac_from_str("x/y")
     with pytest.raises(DomainError):
@@ -45,11 +51,113 @@ def test_frac_round_trip():
 ))
 def test_frac_to_str_is_the_string_of_its_fraction(x):
     # ints of either sign, integral Fractions such as Fraction(4, 2), proper Fractions
-    assert frac_to_str(x) == str(Fraction(x))
+    assert entry(x) == frac_to_str(x) == str(Fraction(x))
 
 
 def test_frac_to_str_of_a_bool_is_its_integer():
-    assert (frac_to_str(True), frac_to_str(False)) == ("1", "0")
+    assert (entry(True), entry(False)) == (frac_to_str(True), frac_to_str(False)) == ("1", "0")
+
+
+@st.composite
+def rational_matrices(draw):
+    """Matrices up to 4x4, 0-row and 0-column ones included, over a drawn denominator.
+
+    Entries over a common den share part of a factor with it (2/12 prints as 1/6).
+    """
+    nrows, ncols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    den = draw(st.integers(1, 12))
+    row = st.lists(st.integers(-30, 30), min_size=ncols, max_size=ncols)
+    num = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    # built by a product, so no rows are kept from the constructor
+    return Mat(num, ncols=ncols).scaled(Fraction(1, den))
+
+
+def fraction_strings(rows):
+    return [[frac_to_str(x) for x in row] for row in rows]
+
+
+def test_entry_strings_in_lowest_terms():
+    M = Mat([[1, 2, 0, -4, -6, 4]]).scaled(Fraction(1, 4))
+    assert M.den == 4
+    assert mat_to_obj(M)["rows"] == [["1/4", "1/2", "0", "-1", "-3/2", "1"]]
+    assert M._rows is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_mat_and_lattice_entries_match_the_fraction_route(M):
+    L = Lattice(M.nrows, M)  # rank 0 when M is zero or has no columns
+    obj, lattice_obj = mat_to_obj(M), lattice_to_obj(L)
+    assert M._rows is None and L.basis._rows is None
+    assert obj == {"rows": fraction_strings(M.rows), "ncols": M.ncols}
+    assert lattice_obj == {
+        "ambient_dim": M.nrows,
+        "basis": fraction_strings(L.basis.col(j) for j in range(L.rank)),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2), st.data())
+def test_polarized_entries_match_the_fraction_route(g, data):
+    # basis B = B' * d/e and form J * e^2 k/d, so the Gram d k B'^T J B' is integral
+    n = 2 * g
+    e, d, k = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+    cols = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    B = Mat.from_columns(cols, nrows=n).scaled(Fraction(d, e))
+    form = symplectic_form(g).scaled(Fraction(e * e * k, d))
+    rank = data.draw(st.sampled_from([0, n]))
+    try:
+        P = PolarizedLattice(Lattice(n, B.take_columns(range(rank))), form)
+    except DomainError:
+        assume(False)  # a degenerate draw
+    obj = polarized_to_obj(P)
+    assert P.lattice.basis._rows is None and P.form._rows is None
+    assert obj == {
+        "ambient_dim": n,
+        "basis": fraction_strings(P.lattice.basis.col(j) for j in range(P.rank)),
+        "form": fraction_strings(P.form.rows),
+    }
+
+
+json_text = st.text(st.one_of(st.sampled_from('∩∘λ"\\\n\t\x00\x1f\x7f'), st.characters()),
+                    max_size=6)
+json_leaves = st.one_of(
+    st.none(), st.booleans(), json_text,
+    st.integers(-(2**70), 2**70), st.integers(2**64, 2**200), st.floats(),
+)
+json_payloads = st.recursive(json_leaves, lambda kids: st.one_of(
+    st.lists(kids, max_size=4),
+    st.lists(kids, max_size=4).map(tuple),
+    st.lists(json_text, max_size=4),
+    st.dictionaries(json_text, kids, max_size=4),
+), max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_payloads)
+def test_dumps_canonical_writes_what_json_writes(payload):
+    assert dumps_canonical(payload) == json_canonical(payload)
+
+
+def test_dumps_canonical_on_pinned_payloads():
+    for payload in [{}, [], (), {"a": {}, "b": [], "c": ()}, [[], [[]], {"x": [""]}],
+                    {"A∩B": "λ∘μ", "q\"\\": [-1, 2**64 + 1, True, None, float("nan")]}]:
+        assert dumps_canonical(payload) == json_canonical(payload)
+
+
+@pytest.mark.parametrize("payload", [{1: "a"}, {"a": {None: 1}}, {"a": [{("k",): 0}]}])
+def test_dumps_canonical_refuses_a_key_that_is_not_a_string(payload):
+    with pytest.raises(TypeError):
+        dumps_canonical(payload)
+
+
+@pytest.mark.parametrize("payload", [object(), {"a": [1, Fraction(1, 2)]}, [{1, 2}], ["s", b"b"]])
+def test_dumps_canonical_refuses_what_json_cannot_serialize(payload):
+    with pytest.raises(TypeError):
+        json_canonical(payload)
+    with pytest.raises(TypeError):
+        dumps_canonical(payload)
 
 
 def test_mat_round_trip():
