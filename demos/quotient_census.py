@@ -12,7 +12,7 @@ from symplat import (
     enumerate_mti,
     index,
     polarization_type,
-    principal_quotient,
+    principal_quotients,
     standard_principal,
     torsion_subgroup,
 )
@@ -24,8 +24,7 @@ def census(g, m):
     subgroups = enumerate_mti(torsion, weil)
     print(f"g = {g}, m = {m}: {torsion.order} torsion points, "
           f"{len(subgroups)} maximal totally isotropic subgroups")
-    for i, K in enumerate(subgroups):
-        X = principal_quotient(P, K, m)
+    for i, (K, X) in enumerate(zip(subgroups, principal_quotients(P, subgroups, m))):
         t = polarization_type(X)
         assert t.is_principal
         if i < 3:

@@ -42,6 +42,7 @@ from .pollat import (
     ker_mu_pairing,
     polarization_type,
     principal_quotient,
+    principal_quotients,
     quotient_by_isotropic,
     standard_principal,
     symplectic_form,

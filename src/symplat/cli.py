@@ -43,7 +43,7 @@ from .jsonio import (
 from .moduli import locus_dimensions
 from .pollat import (
     polarization_type,
-    principal_quotient,
+    principal_quotients,
     standard_principal,
     torsion_subgroup,
 )
@@ -133,8 +133,7 @@ def cmd_quotient(g, m, mode="all", budget=DEFAULT_BUDGET):
     else:
         subgroups = enumerate_mti(tors, pairing, budget=budget)
     entries = []
-    for K in subgroups:
-        X = principal_quotient(P, K, m)
+    for K, X in zip(subgroups, principal_quotients(P, subgroups, m)):
         entries.append(
             {
                 "K_basis": lattice_to_obj(K.upper)["basis"],

@@ -11,9 +11,9 @@ coordinates.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from math import isqrt, lcm, prod
-from operator import mul
+from operator import mul, sub
 
 from .errors import BudgetError, DomainError, _Immutable
 from .lattice import Lattice, _inclusion, congruence_kernel
@@ -50,22 +50,28 @@ class FiniteQuotient(_Immutable):
 
         Each H is a lower-triangular Hermite matrix of ints, given by its rows,
         and c > 0, so c*H is a canonical basis: no Hermite pass or solve is
-        made.  T, with c*H*T = lower.basis, comes from forward substitution; a
-        division that is not exact means ``lower`` is not contained.
+        made.  T, with c*H*T = lower.basis, comes from forward substitution, a
+        row at a time: T[i] = (L[i] - sum of H[i][s]*T[s] over s < i) / H[i][i]
+        for L = lower.basis / c.  A division that is not exact, on any row
+        (H[i][i] = 1 included, where an entry of L is not an integer), means
+        ``lower`` is not contained.
         """
         n = lower.ambient_dim
         L = lower.basis.scaled(1 / Fraction(c)).rows  # lower triangular, and so is each T
         out = []
         for H in keys:
-            T = [[0] * n for _ in range(n)]
+            T = []
             for i, row in enumerate(H):
-                for j in range(i + 1):
-                    x = L[i][j] - sum(row[s] * T[s][j] for s in range(j, i))
-                    T[i][j], rem = divmod(x, row[i])
-                    if rem:
-                        raise DomainError("lower lattice is not contained in the upper one")
+                v = L[i]
+                for a, above in zip(row, T):  # the rows s < i of T
+                    if a:
+                        v = map(sub, v, map(mul, repeat(a), above))
+                t, rem = zip(*map(divmod, v, repeat(row[i])))
+                if any(rem):
+                    raise DomainError("lower lattice is not contained in the upper one")
+                T.append(t)
             upper = Lattice._from_slots(n, Mat._trusted(H, n, 1).scaled(c))
-            coords = Mat._trusted(tuple(map(tuple, T)), n, 1)
+            coords = Mat._trusted(tuple(T), n, 1)
             out.append(cls._from_slots(lower, upper, coords, None))
         return out
 

@@ -6,35 +6,38 @@ constructions, the genus of cyclic unramified covers, and the known genus
 bounds for curves representing m times the minimal class.
 """
 
-from dataclasses import dataclass
-
-from .errors import DomainError
+from .errors import DomainError, _Immutable
 
 __all__ = ["LocusReport", "locus_dimensions", "genus_bounds", "two_minimal_locus_dim"]
 
 
-@dataclass(frozen=True)
-class LocusReport:
-    """All the closed-form dimension data attached to a triple (g, m, r)."""
+class LocusReport(_Immutable):
+    """All the closed-form dimension data attached to a triple (g, m, r).
 
-    g: int
-    m: int
-    r: int
-    dim_Ag: int
-    dim_Mg: int
-    dim_R_gmr: int
-    dim_jacobian_quotient_locus: int
-    dim_inverse_prym_locus: int
-    dim_prym_quotient_bound: int
-    prym_target_dim_index: int
-    cover_genus: int
-    prym_dim: int
-    genus_lower: int
-    genus_welters_upper: int | None
-    genus_family_lower_bound: int
+    Every field is an int, except ``genus_welters_upper``: None where no
+    upper bound is known.
+    """
+
+    __slots__ = _key = (
+        "g", "m", "r", "dim_Ag", "dim_Mg", "dim_R_gmr", "dim_jacobian_quotient_locus",
+        "dim_inverse_prym_locus", "dim_prym_quotient_bound", "prym_target_dim_index",
+        "cover_genus", "prym_dim", "genus_lower", "genus_welters_upper",
+        "genus_family_lower_bound",
+    )
+
+    def __init__(
+        self, *, g, m, r, dim_Ag, dim_Mg, dim_R_gmr, dim_jacobian_quotient_locus,
+        dim_inverse_prym_locus, dim_prym_quotient_bound, prym_target_dim_index,
+        cover_genus, prym_dim, genus_lower, genus_welters_upper, genus_family_lower_bound,
+    ):
+        self._fill(
+            g, m, r, dim_Ag, dim_Mg, dim_R_gmr, dim_jacobian_quotient_locus,
+            dim_inverse_prym_locus, dim_prym_quotient_bound, prym_target_dim_index,
+            cover_genus, prym_dim, genus_lower, genus_welters_upper, genus_family_lower_bound,
+        )
 
     def to_json_obj(self):
-        obj = {k: v for k, v in self.__dict__.items()}
+        obj = {name: getattr(self, name) for name in self.__slots__}
         if obj["genus_welters_upper"] is None:
             obj["genus_welters_upper"] = "unknown"
         return obj

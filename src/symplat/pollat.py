@@ -8,11 +8,12 @@ nested lattices and isogeny quotients become lattice enlargements.
 """
 
 from fractions import Fraction
+from math import prod
 
 from .errors import CertificationError, DomainError, IsotropyError, _Immutable, certify
 from .finquot import FiniteQuotient, PairingOnQuotient
 from .lattice import Lattice
-from .matrix import Mat, smith_normal_form
+from .matrix import Mat, _lowest, _product, smith_normal_form
 
 __all__ = [
     "PolarizationType",
@@ -28,6 +29,7 @@ __all__ = [
     "ker_mu_pairing",
     "quotient_by_isotropic",
     "principal_quotient",
+    "principal_quotients",
     "adjoint_map",
 ]
 
@@ -198,10 +200,47 @@ def quotient_by_isotropic(P, K, scale):
 
 def principal_quotient(P, K, m):
     """quotient_by_isotropic at scale m, certified principal."""
-    X = quotient_by_isotropic(P, K, m)
-    t = polarization_type(X)
-    certify(f"quotient polarization type {t.chain}", {"quotient-principal": t.is_principal})
-    return X
+    return principal_quotients(P, [K], m)[0]
+
+
+def principal_quotients(P, Ks, m):
+    """``principal_quotient(P, K, m)`` for each K in Ks, in order.
+
+    The form m*E is built, checked as ``PolarizedLattice`` checks it (square
+    of ambient dimension, alternating) and its determinant taken once.  For
+    a K whose basis B is square, the Gram B^T (mE) B is one integer product
+    over one denominator, and det(Gram) = det(mE) det(B)^2 exactly.  B is a
+    square Hermite basis, so it is lower triangular and det(B) is the product
+    of its diagonal.  A Gram of determinant 1 is principal, and X is built
+    from it as is.  Any other K, or any K when the form fails its checks,
+    takes ``quotient_by_isotropic`` and its Smith form, so a non-principal
+    quotient fails the certificate as it would alone.
+    """
+    n = P.ambient_dim
+    form = P.form * Fraction(m)
+    det = form.det() if form.nrows == n and form.is_alternating() else None
+    principal = PolarizationType((1,) * (n // 2))
+    out = []
+    for K in Ks:
+        if K.lower != P.lattice:
+            raise DomainError("subgroup is not presented over the polarized lattice")
+        B, X = K.upper.basis, None
+        if det is not None and B.ncols == n:
+            num, den = B.num, B.den
+            gram = _lowest(
+                _product(tuple(zip(*num)), _product(form.num, num, n), n), n, den * den * form.den
+            )
+            if gram.den != 1:
+                raise IsotropyError("subgroup is not isotropic at this scale")
+            diag = prod(row[i] for i, row in enumerate(num))
+            if det * diag * diag == den ** (2 * n):
+                X = PolarizedLattice._from_slots(K.upper, form, gram, principal)
+        if X is None:
+            X = quotient_by_isotropic(P, K, m)
+        t = X._type
+        certify(f"quotient polarization type {t.chain}", {"quotient-principal": t.is_principal})
+        out.append(X)
+    return out
 
 
 class LatticeMap(_Immutable):

@@ -85,7 +85,7 @@ def _record_calls(monkeypatch, owner, name, count=lambda args: 1):
 def test_quotient_mode_one_builds_only_what_it_prints(monkeypatch):
     built = _record_calls(monkeypatch, FiniteQuotient, "_over_hermite", lambda args: len(args[2]))
     inits = _record_calls(monkeypatch, FiniteQuotient, "__init__")
-    certified = _record_calls(monkeypatch, cli, "principal_quotient")
+    certified = _record_calls(monkeypatch, cli, "principal_quotients", lambda args: len(args[1]))
     p = payload(["quotient", "--g", "3", "--m", "2", "--mode", "one"])
     assert p["count"] == 1
     # one survivor is built and certified; the other two quotients are the
@@ -446,12 +446,14 @@ def test_g3_m4_census_one_stdout_is_pinned():
     )
 
 
-# sha256 of the stdout of the composite-m censuses (2,4) and (2,6) and of the
-# (3,3) census, the largest at prime m; the golden set has none of them
+# sha256 of the stdout of the composite-m censuses (2,4) and (2,6), of the
+# (3,3) census, the largest at an odd prime m, and of the (4,2) census with its
+# 2295 quotients; the golden set has none of them
 CENSUS_DIGESTS = {
     ("2", "4"): "89c10f2bb38f83f1ff7c94c120e9df7ba16cb37dcfd3444d00a6068e1cdf2490",
     ("2", "6"): "3c6c70b6c784d46a500c00db71e2b3e14bd509ada224f8a07fcb945c128becbc",
     ("3", "3"): "655cdcc39c4feec7f2bfacfc15a891da9f3eb43237d04b3e73d6d0abde2457cd",
+    ("4", "2"): "8069f6d8302b02070f5d40b33dd190b04310dfd1be8cff133074281c47165517",
 }
 
 

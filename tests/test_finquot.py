@@ -670,6 +670,9 @@ def test_a_hermite_key_must_contain_lower():
     with pytest.raises(DomainError, match="^lower lattice is not contained in the upper one$"):
         # Z^2 is fine, 2Z + Z misses (1, 0)
         FiniteQuotient._over_hermite(Z2, 1, [((1, 0), (0, 1)), ((2, 0), (0, 1))])
+    with pytest.raises(DomainError, match="^lower lattice is not contained in the upper one$"):
+        # 2Z^2 misses (1, 0) too: lower / c = I / 2 is not integral on a row with h = 1
+        FiniteQuotient._over_hermite(Z2, 2, [((1, 0), (0, 1))])
     (S,) = FiniteQuotient._over_hermite(Z2.scaled(2), Fraction(1, 2), [((1, 0), (1, 2))])
     half = Lattice.from_generators(2, [(Fraction(1, 2), Fraction(1, 2)), (0, 1)])
     assert S == FiniteQuotient(Z2.scaled(2), half)

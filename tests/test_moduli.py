@@ -5,7 +5,7 @@ import re
 import pytest
 
 from symplat.errors import DomainError
-from symplat.moduli import genus_bounds, locus_dimensions, two_minimal_locus_dim
+from symplat.moduli import LocusReport, genus_bounds, locus_dimensions, two_minimal_locus_dim
 
 
 # hand-coded reference formulas, written independently of the module
@@ -89,6 +89,9 @@ def test_report_serialization():
     rep = locus_dimensions(3, 3, 0)
     obj = rep.to_json_obj()
     assert obj["genus_welters_upper"] == "unknown"
+    # every field, in field order, and nothing else; the keyword constructor takes them back
+    assert list(obj) == list(LocusReport.__slots__) and len(obj) == 15
+    assert LocusReport(**{**obj, "genus_welters_upper": None}) == rep
 
 
 MODULI_REFUSALS = [

@@ -24,6 +24,7 @@ from symplat.pollat import (
     ker_mu_pairing,
     polarization_type,
     principal_quotient,
+    principal_quotients,
     quotient_by_isotropic,
     standard_principal,
     symplectic_form,
@@ -241,6 +242,95 @@ def test_principal_quotient_certification_error():
     K = tors.subgroup([tors.element((Fraction(1, 2), 0))])
     with pytest.raises(CertificationError):
         principal_quotient(P, K, 4)
+
+
+@st.composite
+def principal_forms(draw):
+    """(P, m): a principal P of dimension g <= 2 whose Gram is A^T J A, A unimodular.
+
+    The lattice is M Z^(2g) for a drawn lower-triangular M with a positive
+    diagonal, and the form M^-T A^T J A M^-1, so the adapted basis of the
+    m-torsion, M / m, is mostly not a scalar matrix: ``enumerate_mti`` builds
+    and sorts each survivor.
+    """
+    g, m = draw(st.integers(1, 2)), draw(st.sampled_from((2, 3, 4, 6)))
+    n = 2 * g
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            c = draw(st.integers(-2, 2))  # one multiplier per row operation keeps A unimodular
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    A = Mat(rows, ncols=n)
+    M = Mat([[draw(st.integers(1, 3)) if i == j else draw(st.integers(-2, 2)) if j < i else 0
+              for j in range(n)] for i in range(n)], ncols=n)
+    Minv = M.inverse()
+    return PolarizedLattice(Lattice(n, M), Minv.T * A.T * symplectic_form(g) * A * Minv), m
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=principal_forms())
+def test_principal_quotients_match_the_generic_quotient(case):
+    P, m = case
+    Ks = enumerate_mti(*torsion_subgroup(P, m))
+    Xs = principal_quotients(P, Ks, m)
+    assert len(Xs) == len(Ks) > 0
+    for K, X in zip(Ks, Xs):
+        Y = quotient_by_isotropic(P, K, m)
+        assert (X.lattice, X.form, X._gram, X._type) == (Y.lattice, Y.form, Y._gram, Y._type)
+        assert X._type.is_principal
+
+
+def test_principal_quotients_refusals():
+    P = standard_principal(1)
+    tors, weil = torsion_subgroup(P, 4)
+    assert principal_quotients(P, [], 4) == []
+    over_2L = torsion_subgroup(PolarizedLattice(P.lattice.scaled(2), P.form), 4)[0]
+    with pytest.raises(DomainError, match="^subgroup is not presented over the polarized lattice$"):
+        principal_quotients(P, [over_2L], 4)
+    with pytest.raises(IsotropyError, match="^subgroup is not isotropic at this scale$"):
+        principal_quotients(P, [tors], 4)  # the whole 4-torsion
+    # <e1/2, e3/2> has the order 4 of a Lagrangian in the 2-torsion of (Z^4, J_2),
+    # so det(Gram) = 1, but E(e1, e3) = 1 makes its Gram half-integral
+    tors2 = torsion_subgroup(standard_principal(2), 2)[0]
+    skew = tors2.subgroup([
+        tors2.element((Fraction(1, 2), 0, 0, 0)), tors2.element((0, 0, Fraction(1, 2), 0))
+    ])
+    with pytest.raises(IsotropyError, match="^subgroup is not isotropic at this scale$"):
+        principal_quotients(standard_principal(2), [skew], 2)
+    # isotropic but not maximal: (Z + Z/2, 4J) is of type (2)
+    half = tors.subgroup([tors.element((Fraction(1, 2), 0))])
+    with pytest.raises(CertificationError, match=re.escape(
+        "quotient polarization type (2,) failed: ['quotient-principal']"
+    )) as err:
+        principal_quotients(P, [enumerate_mti(tors, weil)[0], half], 4)
+    assert err.value.failures == ("quotient-principal",)
+
+
+def test_principal_quotients_take_no_smith_form(monkeypatch):
+    # a maximal isotropic K over a full-rank lattice is read off det(B)^2 as
+    # principal, so neither quotient_by_isotropic nor a Smith form runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("a principal quotient took the generic path")
+
+    monkeypatch.setattr(pollat, "quotient_by_isotropic", refuse)
+    monkeypatch.setattr(pollat, "smith_normal_form", refuse)
+    M = Mat([[2, 0], [1, 1]])
+    Minv = M.inverse()
+    skewed = PolarizedLattice(Lattice(2, M), Minv.T * symplectic_form(1) * Minv)
+    for P, m in ((standard_principal(2), 4), (standard_principal(1), 6), (skewed, 6)):
+        Ks = enumerate_mti(*torsion_subgroup(P, m))
+        assert [X._type.chain for X in principal_quotients(P, Ks, m)] == [(1,) * P.dim] * len(Ks)
+
+
+def test_principal_quotients_of_a_lattice_of_lower_rank():
+    # a basis that is not square takes quotient_by_isotropic
+    E = Mat([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+    P = PolarizedLattice(Lattice.from_generators(3, [(1, 0, 0), (0, 1, 0)]), E)
+    Ks = enumerate_mti(*torsion_subgroup(P, 2))
+    assert [(X.lattice, X.form, X._type.chain) for X in principal_quotients(P, Ks, 2)] == [
+        (Y.lattice, Y.form, (1,)) for Y in (quotient_by_isotropic(P, K, 2) for K in Ks)
+    ]
 
 
 def test_adjoint_identity_and_scalars():
