@@ -3,11 +3,11 @@
 This is where torsion subgroups, kernels of polarization maps and their
 Q/Z-valued pairings live, together with exhaustive subgroup enumeration and
 the maximal-totally-isotropic (m.t.i.) machinery that drives every isogeny
-quotient in the package.  One solve gives T, the L'-basis coordinates of the
-L basis (forward substitution, for a search survivor whose L' basis is
-known); both bases are column Hermite forms, so T is lower triangular and
-|L'/L| is the product of its diagonal.  Elements are kept as their L-basis
-coordinates.
+quotient in the package.  T, the L'-basis coordinates of the L basis, is
+one forward substitution on the pivot rows of the Hermite basis of L' (a
+row at a time for a search survivor); both bases are Hermite forms, so T is
+lower triangular and |L'/L| is the product of its diagonal.  Elements are
+kept as their L-basis coordinates.
 """
 
 from fractions import Fraction

@@ -132,6 +132,8 @@ def cover_from_obj(obj):
     """Rebuild a cover from its fixture and cross-check the stored matrices."""
     if not isinstance(obj, dict) or obj.get("kind") != "cover-fixture":
         raise DomainError("not a cover fixture")
+    if obj.get("schema") != SCHEMA:
+        raise DomainError(f"fixture schema must be {SCHEMA!r}, not {short_repr(obj.get('schema'))}")
     try:
         R = RibbonGraph(obj["n_edges"], [tuple(r) for r in obj["base_rotations"]])
         m, g = obj["m"], obj["g"]

@@ -8,17 +8,17 @@ equality of their basis matrices.
 
 The operations here -- saturation, kernels, indices, sums, preimages -- are
 the exact-arithmetic substrate for all polarization and isogeny computations.
-Every kernel comes from the column reduction ``integer_kernel``, which
-takes rational matrices as they are, and no operation takes a Smith form:
-``preimage_lattice`` inverts the Hermite basis of a dual lattice.  An index
-is the product of a diagonal, read off one solve (``_inclusion``).
+Every kernel comes from the column reduction ``integer_kernel`` (rational
+matrices as they are), and none from a Smith form.  Coordinates, an index
+(``_inclusion``) and ``preimage_lattice``'s inverse come from forward
+substitution on a basis's pivot rows; a vector outside the span is refused.
 """
 
 from fractions import Fraction
 from math import prod
 
 from .errors import DomainError, _Immutable
-from .matrix import Mat, hermite_column_form, integer_kernel
+from .matrix import Mat, _hermite_solve, hermite_column_form, integer_kernel
 
 __all__ = [
     "Lattice",
@@ -46,7 +46,7 @@ class Lattice(_Immutable):
     @staticmethod
     def standard(n):
         """Z^n inside Q^n."""
-        return Lattice(n, Mat.identity(n))
+        return Lattice._from_slots(n, Mat.identity(n))  # I_n is its own Hermite form
 
     @staticmethod
     def from_generators(ambient_dim, vectors):
@@ -68,7 +68,7 @@ class Lattice(_Immutable):
     def coords_of(self, vector):
         """Rational coordinates of a span vector in this basis."""
         try:
-            sol = self.basis.solve(Mat.column(vector))
+            sol = _hermite_solve(self.basis, Mat.column(vector))
         except DomainError:
             raise DomainError("vector is not in the span of the lattice")
         return sol.column_vector()
@@ -76,7 +76,7 @@ class Lattice(_Immutable):
     def coords_matrix(self, M):
         """Coordinates of the columns of M (all must lie in the span)."""
         try:
-            return self.basis.solve(M)
+            return _hermite_solve(self.basis, M)
         except DomainError:
             raise DomainError("columns are not in the span of the lattice")
 
@@ -186,10 +186,10 @@ def preimage_lattice(M, target):
     The columns of M must land in the span of ``target``.  With W the
     target-basis coordinates of M, the preimage is {x : W x in Z^r}, the dual
     of the lattice that W's rows span: R^-T Z^n for R the Hermite basis of
-    that row lattice, which is n x n exactly when M is injective.
+    that row lattice, n x n (and lower triangular) exactly when M is injective.
     """
     W = target.coords_matrix(M)  # target-basis coordinates of M's columns
     R = hermite_column_form(W.T)
     if R.ncols < M.ncols:
         raise DomainError("preimage_lattice requires an injective matrix")
-    return Lattice(M.ncols, R.inverse().T)
+    return Lattice(M.ncols, _hermite_solve(R, Mat.identity(M.ncols)).T)

@@ -13,15 +13,14 @@ entries' denominators and is 1 exactly when the matrix is integral (the
 matwise form of FLINT's ``fmpq_mat``).  Every kernel operation works on
 ``num`` alone and ends with one gcd over the result's entries and its
 ``den``; the entries as ints and Fractions, ``rows``, are built only when
-read.  A product builds each row of A*B as the combination of B's rows that
-the nonzero entries of A's row select, so a zero entry costs nothing and the
-near-permutation deck actions of the covers stay cheap.  ``rref``, ``rank``,
-``det``, ``inverse`` and ``solve`` all read their results off one
-fraction-free (Bareiss) Gauss–Jordan elimination, whose every division is
-exact.  It leaves a row alone until a step needs it: a step only scales a
-row with a zero in the pivot column, and Sylvester's identity makes the
-later catch-up division exact.  The results are unique, so they do not
-depend on the pivot order.
+read.  A row of A*B combines the rows of B that A's nonzero entries select,
+so the near-permutation deck actions of the covers stay cheap, and a factor
+``Mat.identity`` built (its rows shared by size) returns the other factor.
+H*X = M for a column Hermite basis H (every lattice's) is solved by forward
+substitution on H's pivot rows; ``rref``, ``rank``, ``det``, ``inverse`` and
+``solve`` read theirs off one fraction-free (Bareiss) Gauss–Jordan elimination
+that leaves a row alone until a step needs it (Sylvester's identity makes the
+catch-up division exact).  The results are unique, whatever the pivot order.
 
 The integer routines read ``num`` and take any rational matrix.  The column
 Hermite form of M is that of ``num`` over ``den``, one canonical column
@@ -33,7 +32,7 @@ depends on the scaling, refuses a non-integral matrix.
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, mul, sub
 
 from .errors import DomainError, _Immutable, certify
 
@@ -91,6 +90,7 @@ def _lowest(num, ncols, den):
 
 
 _MAX_CHAIN = 512  # lazy row additions one product nests before it materializes them
+_IDENTITY = {}  # n -> the rows of I_n, which every Mat.identity(n) shares
 
 
 def _product(rows, brows, ncols):
@@ -167,6 +167,31 @@ def _gauss_jordan(rows, ncols):
     return a, prev, pivots
 
 
+def _hermite_solve(H, M):
+    """The unique X with H*X = M for a column Hermite basis H, on ``num`` alone.
+
+    Forward substitution on H's pivot rows gives integer Y with num(H)*Y = D*num(M), D a
+    running lcm, and X = den(H)*Y / (D*den(M)); any other row that disagrees refuses M.
+    """
+    if H.nrows != M.nrows:
+        raise DomainError("shape mismatch in solve")
+    a, b, Y, D, j, ra, rb = H.num, M.num, [], 1, 0, (), ()
+    for c in range(H.ncols):
+        while not a[j][c]:  # up to column c's pivot row; the rows passed over are checked last
+            ra, rb, j = ra + (a[j],), rb + (b[j],), j + 1
+        p, v = a[j][c], b[j] if D == 1 else map(mul, repeat(D), b[j])
+        for h, y in zip(a[j], Y):  # the rows of Y so far, as a chain of lazy maps
+            v = map(sub, v, map(mul, repeat(h), y)) if h else v
+        v = tuple(v)
+        if (g := gcd(p, *v)) != p:  # scale D and Y by p/g, so that p divides the new row
+            D, Y = D * (p // g), list(_scale(Y, p // g))
+        Y.append(v if g == 1 else tuple(x // g for x in v))
+        j += 1
+    if _product(ra + a[j:], Y, M.ncols) != _scale(rb + b[j:], D):
+        raise DomainError("inconsistent linear system")
+    return _lowest(_scale(tuple(Y), H.den), M.ncols, D * M.den)
+
+
 class Mat(_Immutable):
     """An immutable matrix with exact rational entries: ``num / den``.
 
@@ -206,7 +231,9 @@ class Mat(_Immutable):
 
     @staticmethod
     def identity(n):
-        return Mat._trusted(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
+        if n not in _IDENTITY:
+            _IDENTITY[n] = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return Mat._trusted(_IDENTITY[n], n)
 
     @staticmethod
     def zero(nrows, ncols):
@@ -298,6 +325,11 @@ class Mat(_Immutable):
             return self.scaled(other)
         if self.ncols != other.nrows:
             raise DomainError("shape mismatch in multiplication")
+        # I_n: den 1 (I/2 keeps I's rows), and rows keyed by ncols, so square (a 0 x k has ())
+        if other.den == 1 and other.num is _IDENTITY.get(other.ncols):
+            return self
+        if self.den == 1 and self.num is _IDENTITY.get(self.ncols):
+            return other
         num = _product(self.num, other.num, other.ncols)
         return _lowest(num, other.ncols, self.den * other.den)
 
@@ -433,11 +465,12 @@ class _SnfState:
         """Minimal |entry| != 0 in the active block, ties by lowest (row, col)."""
         best = None
         for i in range(t, self.m):
-            row = self.w[i]
-            for j in range(t, self.n):
-                x = row[j]
-                if x != 0 and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
+            seg = self.w[i][t:self.n]
+            a = min(map(abs, filter(None, seg)), default=0)
+            if a and (best is None or a < best[0]):
+                best = (a, i, t + min(seg.index(x) for x in (a, -a) if x in seg))
+                if a == 1:  # nothing smaller remains
+                    break
         return best
 
     def eliminate(self):

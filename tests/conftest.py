@@ -188,6 +188,14 @@ def congruence_kernel_by_smith(A, d):
     return V * Mat.diagonal(scale)
 
 
+def coords_by_gauss_jordan(L, M):
+    """``L.coords_matrix(M)`` as it was solved before: ``Mat.solve`` on L's basis."""
+    try:
+        return L.basis.solve(M)
+    except DomainError:
+        raise DomainError("columns are not in the span of the lattice")
+
+
 def preimage_by_smith(M, target):
     """{x : M x in target} as ``preimage_lattice`` built it before, from a Smith form.
 

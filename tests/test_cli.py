@@ -243,13 +243,16 @@ def _edit_base_rotations(obj):
         lambda obj: obj["total"].update(ambient_dim=True),
         lambda obj: obj["base"].update(ambient_dim=-1),
         lambda obj: obj["total"]["basis"][1].pop(),
+        lambda obj: obj.pop("schema"),
+        lambda obj: obj.update(schema="ppav-lattice/0"),
+        lambda obj: obj.update(schema=1),
     ],
     ids=[
         "m-float", "m-bool", "n_edges-huge", "n_edges-float", "voltage-float",
         "voltage-too-big", "voltage-negative", "dart-float", "g-str", "g-null",
         "g-negative", "g-wrong", "g-bool", "g-missing", "sigma-missing", "total-missing",
         "total-dim-str", "base-dim-str", "total-dim-bool", "base-dim-negative",
-        "total-basis-ragged",
+        "total-basis-ragged", "schema-missing", "schema-old", "schema-int",
     ],
 )
 def test_welters_malformed_fixture_numbers(tmp_path, fixture22, edit):
@@ -535,8 +538,8 @@ def test_welters_large_one_vertex_fixture_is_bounded(tmp_path):
     # a genus-5000 one-vertex ribbon graph: 10,000 edges around one vertex
     g = 5000
     rotation = [d for i in range(g) for d in (4 * i, 4 * i + 2, 4 * i + 1, 4 * i + 3)]
-    obj = {"kind": "cover-fixture", "n_edges": 2 * g, "base_rotations": [rotation],
-           "m": 2, "g": g, "voltages": [1] + [0] * (2 * g - 1)}
+    obj = {"schema": SCHEMA, "kind": "cover-fixture", "n_edges": 2 * g,
+           "base_rotations": [rotation], "m": 2, "g": g, "voltages": [1] + [0] * (2 * g - 1)}
     path = tmp_path / "cover.json"
     path.write_text(json.dumps({"fixture": obj}))
     start = time.monotonic()

@@ -1,9 +1,13 @@
 """Lattices: saturation, kernels, indices, sums, intersections, preimages."""
 
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
+from symplat import lattice
 from symplat.errors import DomainError
 from symplat.finquot import FiniteQuotient
 from symplat.lattice import (
@@ -28,6 +33,7 @@ from symplat.matrix import Mat
 from conftest import (
     canonical_basis_oracle,
     congruence_kernel_by_smith,
+    coords_by_gauss_jordan,
     preimage_by_smith,
     same_span_by_rank,
     saturate_by_rational_kernel,
@@ -35,6 +41,14 @@ from conftest import (
 
 
 Z2 = Lattice.standard(2)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_standard_lattice_is_the_one_its_constructor_builds(n):
+    # Lattice.standard skips the Hermite pass, as the identity is its own Hermite form
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    assert Lattice.standard(n) == Lattice(n, Mat.identity(n)) == Lattice.from_generators(n, units)
+    assert Lattice.standard(n).basis == Mat.identity(n) and Lattice.standard(n).rank == n
 
 
 def test_saturate_scaled_vector():
@@ -396,27 +410,90 @@ def test_same_span_against_the_rank_oracle(pair):
 def test_nested_pairs_take_one_solve_and_no_det_or_inverse(monkeypatch):
     upper = Lattice.from_generators(4, [(0, 1, 1, 0), (0, 0, 2, 1)])
     lower = Lattice.from_generators(4, [(0, 2, 2, 0), (0, 1, 7, 3)])
-    calls = dict.fromkeys(("solve", "det", "inverse"), 0)
+    calls = dict.fromkeys(("substitution", "solve", "det", "inverse"), 0)
     for name in calls:
-        def counting(*args, _name=name, _original=getattr(Mat, name)):
+        owner, attr = (lattice, "_hermite_solve") if name == "substitution" else (Mat, name)
+
+        def counting(*args, _name=name, _original=getattr(owner, attr)):
             calls[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(Mat, name, counting)
+        monkeypatch.setattr(owner, attr, counting)
 
     Q = FiniteQuotient(lower, upper)
     order, invariants, (W, diag) = Q.order, Q.invariants, Q._adapted()
-    assert calls == {"solve": 1, "det": 0, "inverse": 0}
+    assert calls == {"substitution": 1, "solve": 0, "det": 0, "inverse": 0}
     assert (order, invariants) == (6, (6,))
     assert Lattice(4, W) == upper and Lattice(4, W * Mat.diagonal(diag)) == lower
 
-    calls.update(solve=0)
+    calls.update(substitution=0)
     assert index(lower, upper) == 6
-    assert calls == {"solve": 1, "det": 0, "inverse": 0}
+    assert calls == {"substitution": 1, "solve": 0, "det": 0, "inverse": 0}
 
-    calls.update(solve=0)
+    calls.update(substitution=0)
     assert upper.same_span(lower)
-    assert calls["solve"] <= 1
+    assert calls["substitution"] <= 1
+
+
+# -- coordinates by forward substitution, against Gauss–Jordan ---------------
+
+@st.composite
+def coordinate_systems(draw):
+    """(L, M): L of rank below its ambient dimension (rank 0 included), its
+    basis over a denominator often above 1, and M's columns integral or
+    rational combinations of that basis, or drawn freely (often outside the span)."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, n - 1))
+    G = Mat([[draw(_entries) for _ in range(k)] for _ in range(n)], ncols=k)
+    L = Lattice(n, G.scaled(Fraction(1, draw(st.integers(1, 6)))))
+    cols, kind = draw(st.integers(0, 3)), draw(st.sampled_from(["integral", "rational", "free"]))
+    if kind == "free":
+        return L, Mat([[draw(_entries) for _ in range(cols)] for _ in range(n)], ncols=cols)
+    coeffs = st.integers(-6, 6) if kind == "integral" else _entries
+    return L, L.basis * Mat([[draw(coeffs) for _ in range(cols)] for _ in range(L.rank)], ncols=cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coordinate_systems())
+def test_coordinates_by_substitution_against_gauss_jordan(case):
+    L, M = case
+    try:
+        expected = coords_by_gauss_jordan(L, M)
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+            L.coords_matrix(M)
+    else:
+        assert L.coords_matrix(M) == expected
+    for v in M.columns():
+        try:
+            c = coords_by_gauss_jordan(L, Mat.column(v)).column_vector()
+        except DomainError:
+            with pytest.raises(DomainError, match="^vector is not in the span of the lattice$"):
+                L.coords_of(v)
+            assert not L.contains_vector(v) and not L.span_contains(v)
+        else:
+            assert L.coords_of(v) == c
+            assert L.contains_vector(v) == all(type(x) is int for x in c)
+
+
+def test_span_check_runs_under_python_O():
+    # the span check is an explicit raise, so it also refuses under -O
+    script = (
+        "from symplat.lattice import Lattice\n"
+        "L = Lattice.from_generators(3, [(1, 0, 0), (0, 2, 0)])\n"
+        "try:\n"
+        "    L.coords_of((0, 0, 1))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "print(L.contains_vector((0, 0, 1)), L.contains_vector((0, 2, 0)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=60, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "vector is not in the span of the lattice\nFalse True\n"
 
 
 LATTICE_REFUSALS = [

@@ -539,6 +539,31 @@ def kept_matrices(draw, nrows=None, ncols=None):
     return _kept_forms(draw, M)
 
 
+def test_identity_factors_return_the_other_factor():
+    A = Mat([[1, Fraction(1, 2), 0], [3, 4, -5]])
+    assert A * Mat.identity(3) is A and Mat.identity(2) * A is A
+    assert Mat.identity(3) is not Mat.identity(3)
+
+
+def test_a_scaled_identity_is_not_taken_for_the_identity():
+    A = Mat([[1, Fraction(1, 2), 0], [3, 4, -5]])
+    half = Mat.identity(2).scaled(Fraction(1, 2))
+    assert half.num is Mat.identity(2).num  # scaling keeps the rows and changes den
+    product = matrix._lowest(matrix._product(half.num, A.num, 3), 3, half.den * A.den)
+    assert half * A == product == A * Fraction(1, 2) and half * A != A
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_empty_factors_against_an_identity_keep_their_shapes(n):
+    # the rows of I_0 are (), which every matrix without rows shares
+    for Z in (Mat.zero(0, n), Mat.zero(n, 0)):
+        for left, right in ((Z, Mat.identity(Z.ncols)), (Mat.identity(Z.nrows), Z)):
+            assert left * right == Z and (left * right).nrows == Z.nrows
+    assert Mat.zero(2, 0) * Mat.zero(0, n) == Mat.zero(2, n)
+    assert Mat.zero(0, 2) * Mat.zero(2, n) == Mat.zero(0, n)
+    assert Mat.zero(n, 0) * Mat.identity(0) == Mat.zero(n, 0)
+
+
 def _cleared(M):
     """M times the lcm of its denominators: an integer matrix."""
     d = lcm(*(Fraction(x).denominator for row in M.rows for x in row))
